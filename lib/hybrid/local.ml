@@ -3,6 +3,8 @@ module Interval = Timebase.Interval
 module Stream = Event_model.Stream
 module Busy_window = Scheduling.Busy_window
 
+let c_horizon_rounds = Obs.Metrics.counter "hybrid.horizon_rounds"
+
 type policy =
   | Spp
   | Spnp
@@ -64,13 +66,21 @@ let unbounded name reason = { name; response = Busy_window.Unbounded reason; out
    output curve, its lower bound the input's guaranteed demand delayed
    by the response jitter (an event arriving at [t] departs within
    [t + [bcet : delay]], so departures in a window of [dt] are at least
-   the arrivals in a window of [dt - (delay - bcet)]). *)
+   the arrivals in a window of [dt - (delay - bcet)]).  Only the delay
+   and the output curve are needed, so backlog and remaining service
+   are not computed. *)
 let process_item ~(curves : Convert.curves) ~service it =
-  let result =
-    Rtc.Gpc.process ~arrival_upper:curves.Convert.upper ~service_lower:service
+  let arrival_upper = curves.Convert.upper in
+  let bounds =
+    match Rtc.Curve.horizontal_deviation ~upper:arrival_upper ~lower:service with
+    | None -> None
+    | Some delay ->
+      Option.map
+        (fun output -> delay, output)
+        (Rtc.Gpc.output_upper ~arrival_upper ~service_lower:service)
   in
-  match result.Rtc.Gpc.delay, result.Rtc.Gpc.output_upper with
-  | Some delay, Some output_upper ->
+  match bounds with
+  | Some (delay, output_upper) ->
     let bcet = Interval.lo it.cet in
     let jitter = Stdlib.max 0 (delay - bcet) in
     let output_lower =
@@ -182,17 +192,22 @@ let analyse ?horizon ~policy items =
     | Tdma | Round_robin -> analyse_slotted ~horizon items
   in
   match horizon with
-  | Some h -> run h
+  | Some h ->
+    Obs.Metrics.incr c_horizon_rounds;
+    run h
   | None ->
-    (* Escalating horizon: curve operations are quadratic in the sampled
-       range, so start small and only grow (towards the certified-tail
-       target) while some outcome is still unbounded — a short horizon
-       is sound at every step, it can only be looser.  Most systems
-       bound every item in the first round. *)
+    (* Escalating horizon: curve work grows with the sampled range (the
+       output deconvolution by up to its square), so start small and
+       only grow (towards the certified-tail target) while some outcome
+       is still unbounded — a short horizon is sound at every step, it
+       can only be looser.  Most systems bound every item in the first
+       round. *)
     let target = default_horizon policy items in
-    let rec go h =
+    let rec go rounds h =
       let results = run h in
-      if h >= target || List.for_all bounded results then results
-      else go (Stdlib.min target (4 * h))
+      if h >= target || List.for_all bounded results then rounds, results
+      else go (rounds + 1) (Stdlib.min target (4 * h))
     in
-    go (Stdlib.min target 256)
+    let rounds, results = go 1 (Stdlib.min target 256) in
+    Obs.Metrics.add c_horizon_rounds rounds;
+    results

@@ -53,7 +53,13 @@ val analyse : ?horizon:int -> policy:policy -> item list -> outcome list
     for unbounded arrivals or overload — those yield [Unbounded]
     outcomes with a reason.  When [horizon] is omitted the sampling
     range escalates geometrically from 256 up to {!default_horizon},
-    stopping at the first round that bounds every item: curve
-    operations are quadratic in the horizon and any horizon is sound
-    (a shorter one can only be looser), so well-dimensioned systems pay
-    the small-range cost only. *)
+    stopping at the first round that bounds every item; any horizon is
+    sound (a shorter one can only be looser), so well-dimensioned
+    systems pay the small-range cost only.  The rounds are counted in
+    the [hybrid.horizon_rounds] metric.
+
+    Cost per round: the arrival curves, remaining service and delay
+    search are linear in the horizon (plus the largest delay); the
+    output deconvolution is linear times the number of arrival-curve
+    rises in one lag window, so it is quadratic only for curves that
+    rise at almost every sample. *)

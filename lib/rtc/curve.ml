@@ -18,6 +18,9 @@ type t = {
 
 exception Unstable of string
 
+let c_deconv_lags = Obs.Metrics.counter "rtc.deconv.lags"
+let c_hdev_steps = Obs.Metrics.counter "rtc.hdev.steps"
+
 let create ~kind ~horizon ~tail_rate f =
   if horizon < 1 then invalid_arg "Rtc.Curve.create: horizon < 1";
   let rate_num, rate_den = tail_rate in
@@ -49,6 +52,10 @@ let tail_rate t = t.rate_num, t.rate_den
 let tail_offset t = t.tail_offset
 
 let ceil_div a b = (a + b - 1) / b
+
+(* [Stdlib.max] compares polymorphically; the (min,+) kernels take the
+   maximum once per candidate lag, so they use this integer one. *)
+let imax (a : int) b = if a >= b then a else b
 
 let eval t dt =
   if dt < 0 then invalid_arg "Rtc.Curve.eval: negative window";
@@ -332,25 +339,55 @@ let min_plus_deconv f g =
      rate of g over l) <= 0 once both legs are past their horizons, so
      the supremum over s is attained within max horizon + l. *)
   let l = lcm f.rate_den g.rate_den in
-  let search_limit = Stdlib.max (horizon f) (horizon g) + l in
-  let value dt =
-    let rec scan s best =
-      if s > search_limit then best
-      else scan (s + 1) (Stdlib.max best (eval f (dt + s) - eval g s))
-    in
-    scan 1 (eval f dt - eval g 0)
+  let h = Stdlib.max (horizon f) (horizon g) in
+  let search_limit = h + l in
+  (* The value is needed on 0..h (samples) and one f-period past h (tail
+     probes), so f is read on 0..last + search_limit and g on
+     0..search_limit: materialise both once. *)
+  let last = h + f.rate_den in
+  let fs = Array.init (last + search_limit + 1) (eval f) in
+  let gs = Array.init (search_limit + 1) (eval g) in
+  (* Candidate lags: a lag s >= 1 at which g does not drop and f does not
+     rise at dt + s is no better than s - 1, so the first maximising lag
+     is 0, a drop of g, or a rise of f shifted by dt. *)
+  let positions n keep =
+    let acc = ref [] in
+    for i = n downto 1 do
+      if keep i then acc := i :: !acc
+    done;
+    Array.of_list !acc
   in
+  let drops = positions search_limit (fun s -> gs.(s) < gs.(s - 1)) in
+  let rises = positions (Array.length fs - 1) (fun x -> fs.(x) > fs.(x - 1)) in
+  let n_rises = Array.length rises in
+  let lags = ref 0 and first_rise = ref 0 in
+  let values = Array.make (last + 1) 0 in
+  for dt = 0 to last do
+    let best = ref (fs.(dt) - gs.(0)) in
+    Array.iter (fun s -> best := imax !best (fs.(dt + s) - gs.(s))) drops;
+    while !first_rise < n_rises && rises.(!first_rise) <= dt do
+      incr first_rise
+    done;
+    let i = ref !first_rise in
+    while !i < n_rises && rises.(!i) <= dt + search_limit do
+      let x = rises.(!i) in
+      best := imax !best (fs.(x) - gs.(x - dt));
+      incr i
+    done;
+    lags := !lags + 1 + Array.length drops + (!i - !first_rise);
+    values.(dt) <- !best
+  done;
+  Obs.Metrics.add c_deconv_lags !lags;
   (* Beyond h = max horizon every f-leg sits past f's horizon, so the
      whole supremum advances by exactly rate_num per rate_den of f:
      probing one f-period past h certifies the tail. *)
-  let h = Stdlib.max (horizon f) (horizon g) in
-  let anchor = value h in
   let slack =
-    probe_slack ~kind:f.kind ~h ~l:f.rate_den ~rate:rf ~anchor [ value ]
+    probe_slack ~kind:f.kind ~h ~l:f.rate_den ~rate:rf ~anchor:values.(h)
+      [ Array.get values ]
   in
   {
     kind = f.kind;
-    samples = Array.init (h + 1) value;
+    samples = Array.sub values 0 (h + 1);
     rate_num = f.rate_num;
     rate_den = f.rate_den;
     tail_offset = signed_offset f.kind slack;
@@ -400,26 +437,34 @@ let horizontal_deviation ~upper ~lower =
   then None
   else begin
     let limit = deviation_limit ~upper ~lower in
-    (* inf {tau | upper dt <= lower (dt - 1 + tau)} per dt >= 1; the lower
-       curve is monotone so tau is found by forward search *)
-    let delay_at dt =
-      let demand = eval upper dt in
-      let rec advance tau =
-        if tau > 8 * limit then None
-        else if eval lower (dt - 1 + tau) >= demand then Some tau
-        else advance (tau + 1)
-      in
-      advance 0
-    in
-    let rec scan dt best =
-      if dt > limit then Some best
+    let cap = 8 * limit in
+    let steps = ref 0 in
+    (* [first t demand dt] is the first t >= [t], at most [cap] past
+       dt - 1, with lower t >= demand.  Every t before T(dt - 1) failed
+       the demand upper (dt - 1), so while upper does not drop the
+       search for T(dt) resumes there; a drop restarts it at dt - 1. *)
+    let rec first t demand dt =
+      if t - (dt - 1) > cap then None
       else begin
-        match delay_at dt with
-        | None -> None
-        | Some tau -> scan (dt + 1) (Stdlib.max best tau)
+        incr steps;
+        if eval lower t >= demand then Some t else first (t + 1) demand dt
       end
     in
-    scan 1 0
+    let rec scan dt best prev_demand prev_t =
+      if dt > limit then Some best
+      else begin
+        let demand = eval upper dt in
+        let start =
+          if demand >= prev_demand then imax (dt - 1) prev_t else dt - 1
+        in
+        match first start demand dt with
+        | None -> None
+        | Some t -> scan (dt + 1) (imax best (t - (dt - 1))) demand t
+      end
+    in
+    let result = scan 1 0 max_int 0 in
+    Obs.Metrics.add c_hdev_steps !steps;
+    result
   end
 
 let pp ppf t =

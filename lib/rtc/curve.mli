@@ -130,6 +130,18 @@ val min_plus_deconv : t -> t -> t
     {e lower} service curve, whose floor-rounded tail must be used as
     is (re-wrapping it as [Upper] would overstate the service); the
     result takes [f]'s kind.
+
+    The supremum is evaluated over candidate lags only: [s = 0], the
+    lags where [g] drops ([g s < g (s - 1)]) and the lags where
+    [dt + s] is a rise of [f] ([f x > f (x - 1)]).  Any other lag [s]
+    is no better than [s - 1] (there [f] did not rise and [g] did not
+    drop), so the first maximising lag is a candidate and the result is
+    exact for any curves, monotone or not.  [f] and [g] are sampled once
+    on the search range; the cost is then O(range) plus, per result
+    sample, one term per drop of [g] and per rise of [f] in the lag
+    window — a handful for staircase arrival curves against monotone
+    service curves, where the full scan cost one term per lag.
+    Counted in the [rtc.deconv.lags] metric.
     @raise Unstable when [rate f > rate g] (unbounded supremum). *)
 
 val vertical_deviation : upper:t -> lower:t -> int option
@@ -142,6 +154,17 @@ val vertical_deviation : upper:t -> lower:t -> int option
 val horizontal_deviation : upper:t -> lower:t -> int option
 (** [sup over dt of inf {tau | upper dt <= lower (dt - 1 + tau)}] — the
     delay bound; [None] when [rate upper > rate lower] or no finite
-    bound exists in the certified range. *)
+    bound exists in the certified range ([tau] is searched up to eight
+    times the deviation range).
+
+    With [T dt] the first [t >= dt - 1] where [lower t >= upper dt]:
+    when [upper dt >= upper (dt - 1)] the search for [T dt] resumes at
+    [T (dt - 1)], because every earlier [t] already failed a demand no
+    larger; when [upper] drops it restarts at [dt - 1].  No monotonicity
+    of [lower] is assumed (a [Lower] tail with a negative offset dips
+    below the sample at the horizon), so the result is exact for any
+    curves, and for a non-decreasing [upper] the whole search is linear
+    in the range plus the largest delay.  Search steps are counted in
+    the [rtc.hdev.steps] metric. *)
 
 val pp : Format.formatter -> t -> unit

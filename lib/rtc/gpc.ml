@@ -44,18 +44,20 @@ let remaining_service ~arrival_upper ~service_lower =
       ~tail_offset:(- !slack) samples
   end
 
+(* alpha (/) beta directly against the lower service curve; an
+   overloaded component (arrival rate > service rate) has no finite-rate
+   output bound, which deconvolution reports as Unstable rather than
+   silently truncating the supremum *)
+let output_upper ~arrival_upper ~service_lower =
+  match Curve.min_plus_deconv arrival_upper service_lower with
+  | c -> Some c
+  | exception Curve.Unstable _ -> None
+
 let process ~arrival_upper ~service_lower =
   {
     delay = Curve.horizontal_deviation ~upper:arrival_upper ~lower:service_lower;
     backlog = Curve.vertical_deviation ~upper:arrival_upper ~lower:service_lower;
-    output_upper =
-      (* alpha (/) beta directly against the lower service curve; an
-         overloaded component (arrival rate > service rate) has no
-         finite-rate output bound, which deconvolution reports as
-         Unstable rather than silently truncating the supremum *)
-      (match Curve.min_plus_deconv arrival_upper service_lower with
-       | c -> Some c
-       | exception Curve.Unstable _ -> None);
+    output_upper = output_upper ~arrival_upper ~service_lower;
     remaining_lower = remaining_service ~arrival_upper ~service_lower;
   }
 

@@ -32,6 +32,12 @@ val remaining_service :
     derivations (hybrid local analyses with shared priority levels) can
     skip the deviation computations of {!process}. *)
 
+val output_upper :
+  arrival_upper:Curve.t -> service_lower:Curve.t -> Curve.t option
+(** [arrival (/) service], or [None] when the component is overloaded
+    ({!Curve.Unstable}) — the output field of {!process} on its own, for
+    callers that need only the delay and the output curve. *)
+
 val process : arrival_upper:Curve.t -> service_lower:Curve.t -> result
 (** Standard GPC bounds:
     [delay = h-deviation], [backlog = v-deviation],

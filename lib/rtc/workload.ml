@@ -11,7 +11,11 @@ let floor_events stream dt =
   | Count.Fin n -> n
   | Count.Inf -> invalid_arg "Rtc.Workload: infinite guaranteed arrivals"
 
-(* Tail-rate window selection: [certified] uses rate (g window / window),
+(* Both arrival-curve constructors sample [g] once on [0..horizon]: the
+   window search and [certified] read only points of that range, so
+   each eta is evaluated once per window size.
+
+   Tail-rate window selection: [certified] uses rate (g window / window),
    so the window that minimises (Upper) or maximises (Lower) that
    fraction gives the tightest provable tail.  Scanning a bounded
    candidate range keeps tail denominators small (they drive the lcm
@@ -48,7 +52,8 @@ let pick_window ~horizon ~better g =
 let arrival_upper ~horizon ~wcet stream =
   if wcet < 1 then invalid_arg "Rtc.Workload.arrival_upper: wcet < 1";
   if horizon < 1 then invalid_arg "Rtc.Workload.arrival_upper: horizon < 1";
-  let g dt = wcet * events stream dt in
+  let samples = Array.init (horizon + 1) (fun dt -> wcet * events stream dt) in
+  let g = Array.get samples in
   (* eta_plus is subadditive (any window splits into two), so the
      slack-anchor tail of [certified] is sound at every point past the
      horizon — unlike a window-difference estimate, which can undershoot
@@ -59,7 +64,10 @@ let arrival_upper ~horizon ~wcet stream =
 let arrival_lower ~horizon ~bcet stream =
   if bcet < 1 then invalid_arg "Rtc.Workload.arrival_lower: bcet < 1";
   if horizon < 1 then invalid_arg "Rtc.Workload.arrival_lower: horizon < 1";
-  let g dt = bcet * floor_events stream dt in
+  let samples =
+    Array.init (horizon + 1) (fun dt -> bcet * floor_events stream dt)
+  in
+  let g = Array.get samples in
   (* eta_minus is superadditive (worst windows concatenate), dual of the
      upper case: a window-difference estimate can overshoot the long-run
      guaranteed rate and eventually promise more arrivals than the

@@ -742,6 +742,124 @@ let hybrid_pure_agreement spec =
           ("cpa analyse rejected: " ^ Guard.Error.to_string e);
       ]
 
+(* Naive references for the RTC kernels: the full lag scan of the
+   deconvolution and the per-window forward delay search, built on the
+   public curve interface only.  Rtc.Curve evaluates the same suprema
+   over candidate lags and with a resumable search; both must agree
+   with these exactly (samples, tail rate and tail offset). *)
+module Rc = Rtc.Curve
+
+let rec gcd a b = if b = 0 then a else gcd b (a mod b)
+
+let lcm a b = a / gcd a b * b
+
+let ceil_div a b = (a + b - 1) / b
+
+let reference_deconv f g =
+  let f, g = Rc.harmonise f g in
+  let ((num, den) as rf) = Rc.tail_rate f and rg = Rc.tail_rate g in
+  if not (Rc.rate_le rf rg) then
+    raise (Rc.Unstable "reference deconvolution: unbounded supremum");
+  let l = lcm den (snd rg) in
+  let search_limit = Stdlib.max (Rc.horizon f) (Rc.horizon g) + l in
+  let value dt =
+    let rec scan s best =
+      if s > search_limit then best
+      else scan (s + 1) (Stdlib.max best (Rc.eval f (dt + s) - Rc.eval g s))
+    in
+    scan 1 (Rc.eval f dt - Rc.eval g 0)
+  in
+  let h = Stdlib.max (Rc.horizon f) (Rc.horizon g) in
+  let anchor = value h in
+  let slack = ref 0 in
+  for x = 1 to den do
+    let d =
+      match Rc.kind f with
+      | Rc.Upper -> value (h + x) - anchor - ceil_div (x * num) den
+      | Rc.Lower -> anchor + (x * num / den) - value (h + x)
+    in
+    if d > !slack then slack := d
+  done;
+  let tail_offset =
+    match Rc.kind f with Rc.Upper -> !slack | Rc.Lower -> - !slack
+  in
+  Rc.of_samples ~kind:(Rc.kind f) ~tail_rate:rf ~tail_offset
+    (Array.init (h + 1) value)
+
+let reference_delay ~upper ~lower =
+  if not (Rc.kind upper = Rc.Upper && Rc.kind lower = Rc.Lower) then
+    invalid_arg "reference_delay: expected (upper, lower)";
+  let upper, lower = Rc.harmonise upper lower in
+  let ru = Rc.tail_rate upper and rl = Rc.tail_rate lower in
+  if not (Rc.rate_le ru rl) then None
+  else begin
+    let limit =
+      Stdlib.max (Rc.horizon upper) (Rc.horizon lower + 1)
+      + lcm (snd ru) (snd rl)
+    in
+    let delay_at dt =
+      let demand = Rc.eval upper dt in
+      let rec advance tau =
+        if tau > 8 * limit then None
+        else if Rc.eval lower (dt - 1 + tau) >= demand then Some tau
+        else advance (tau + 1)
+      in
+      advance 0
+    in
+    let rec scan dt best =
+      if dt > limit then Some best
+      else begin
+        match delay_at dt with
+        | None -> None
+        | Some tau -> scan (dt + 1) (Stdlib.max best tau)
+      end
+    in
+    scan 1 0
+  end
+
+let curve_repr c =
+  ( Rc.kind c,
+    Array.init (Rc.horizon c + 1) (Rc.eval c),
+    Rc.tail_rate c,
+    Rc.tail_offset c )
+
+(* [None] stands for Unstable, so both kernels must also agree on it *)
+let deconv_outcome deconv f g =
+  match deconv f g with
+  | c -> Some (curve_repr c)
+  | exception Rc.Unstable _ -> None
+
+let same_deconv f g =
+  deconv_outcome Rc.min_plus_deconv f g = deconv_outcome reference_deconv f g
+
+let same_delay ~upper ~lower =
+  Rc.horizontal_deviation ~upper ~lower = reference_delay ~upper ~lower
+
+(* Product vs reference kernels on the curves the hybrid backend really
+   builds: every source's certified arrival curve deconvolved by, and
+   delayed against, full service and one TDMA slot. *)
+let hybrid_kernels spec =
+  let horizon = 512 and cost = 3 in
+  let services =
+    [
+      "full", Rtc.Workload.service_full ~horizon;
+      "tdma 2/5", Rtc.Workload.service_tdma ~horizon ~slot:2 ~cycle:5;
+    ]
+  in
+  forall ~name:"hybrid:kernels" spec.Spec.sources (fun (name, s) ->
+      match Hybrid.Convert.of_stream ~horizon ~wcet:cost ~bcet:cost s with
+      | exception Invalid_argument _ -> None (* the round trip reports it *)
+      | curves ->
+        let upper = curves.Hybrid.Convert.upper in
+        List.find_map
+          (fun (service, beta) ->
+            if not (same_deconv upper beta) then
+              Some (Printf.sprintf "%s: deconvolution by %s" name service)
+            else if not (same_delay ~upper ~lower:beta) then
+              Some (Printf.sprintf "%s: delay against %s" name service)
+            else None)
+          services)
+
 let hybrid_soundness ?(seed = 42) ?(horizon = 200_000) ?generators spec =
   let violations = ref [] in
   let push v = violations := Violation.to_string v :: !violations in
@@ -773,7 +891,8 @@ let hybrid_soundness ?(seed = 42) ?(horizon = 200_000) ?generators spec =
              r rtc_spec
     end
   in
-  (roundtrip :: sanitized :: hybrid_pure_agreement spec) @ dominance
+  (roundtrip :: sanitized :: hybrid_kernels spec :: hybrid_pure_agreement spec)
+  @ dominance
 
 (* ------------------------------------------------------------------ *)
 (* full-system verification entry point *)

@@ -32,7 +32,9 @@
       conservatively (exactly, for jitter-free periodic sources within
       the sampled horizon) under the {!Stream.wrap} sanitizer; pure-RTC
       and pure-CPA analyses agree on single-resource SPP point systems;
-      and the all-RTC analysis' bounds dominate the simulator;
+      and the all-RTC analysis' bounds dominate the simulator; the RTC
+      deconvolution and delay kernels agree exactly with naive scan
+      references ({!same_deconv}, {!same_delay});
     - {b cache agreement}: exploration results served through the
       content-addressed cache render byte-identically to direct,
       cache-free evaluation.
@@ -148,10 +150,24 @@ val hybrid_soundness :
     stream under the {!Stream.wrap} sanitizer; on single-resource SPP
     systems with jitter-free periodic point-interval elements, checks
     the pure-RTC and pure-CPA analyses agree on every worst-case
-    response bound; and, when [generators] are given, checks the
-    analysis with {e every} resource forced onto the RTC backend (EDF
-    resources stay on CPA) yields bounds dominating the simulator
-    (tag ["sim[hybrid]"]). *)
+    response bound; checks the product RTC kernels against their
+    naive references ({!same_deconv}, {!same_delay}) on every source's
+    arrival curve, with full service and a 2/5 TDMA slot as the
+    service curve (tag ["hybrid:kernels"]); and, when [generators] are
+    given, checks the analysis with {e every} resource forced onto the
+    RTC backend (EDF resources stay on CPA) yields bounds dominating
+    the simulator (tag ["sim[hybrid]"]). *)
+
+val same_deconv : Rtc.Curve.t -> Rtc.Curve.t -> bool
+(** [Rtc.Curve.min_plus_deconv f g] equals the naive reference — every
+    lag in [0 .. max horizon + lcm] scanned for every sample, built on
+    the public curve interface only — in kind, samples, tail rate and
+    tail offset, or both raise [Rtc.Curve.Unstable]. *)
+
+val same_delay : upper:Rtc.Curve.t -> lower:Rtc.Curve.t -> bool
+(** [Rtc.Curve.horizontal_deviation] equals the naive reference: a
+    forward search from [tau = 0] for every window, capped at eight
+    times the deviation range. *)
 
 val cache_agreement :
   ?jobs:int ->

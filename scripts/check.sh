@@ -199,12 +199,27 @@ echo "check: propagation tightness ok (strict wins: $(jq -cr '.strict_win_system
 # and pure-CPA bounds differ on the paper point system or any backend's
 # bounds fall below DES observations; here we re-assert those claims
 # from the file, require the paper system to stay fully bounded under
-# the mixed backend, smoke the --backend flag and the (backend rtc)
+# the mixed backend, require every system's bounds to match the
+# committed file, smoke the --backend flag and the (backend rtc)
 # spec syntax end to end, and — with the fresh BENCH_1.json still on
 # disk — require the pure-CPA kernel timings within HYBRID_KERNEL_TOL_PCT
 # of the perf run (the conversion layer must be pay-for-use; skip with
 # HYBRID_GUARD=0 on a noisy machine).
+# The committed file is kept first: the RTC bounds of every system and
+# backend (sum_hi, bounded, status) must come out exactly as committed,
+# so a curve-kernel change that moves a bound fails here.
+hybrid_baseline=$(mktemp)
+cp BENCH_10.json "$hybrid_baseline"
 dune exec bench/main.exe -- hybrid
+hybrid_rows='[.systems[] | .name as $n | .backends[]
+              | {system: $n, backend, sum_hi, bounded, status}]'
+if ! diff <(jq -c "$hybrid_rows" "$hybrid_baseline") \
+          <(jq -c "$hybrid_rows" BENCH_10.json) > /dev/null; then
+  echo "check: hybrid bounds differ from the committed BENCH_10.json" >&2
+  diff <(jq "$hybrid_rows" "$hybrid_baseline") <(jq "$hybrid_rows" BENCH_10.json) >&2 || true
+  exit 1
+fi
+rm -f "$hybrid_baseline"
 jq -e '.paper_pure_agreement == true' BENCH_10.json > /dev/null \
   || { echo "check: rtc and cpa bounds differ on the paper system" >&2; exit 1; }
 jq -e '[.paper_dominance[]] | all' BENCH_10.json > /dev/null \

@@ -325,6 +325,122 @@ let prop_deconv_dominates =
       in
       Curve.eval (Curve.min_plus_deconv alpha beta) dt >= Curve.eval alpha dt)
 
+(* ------------------------------------------------------------------ *)
+(* product kernels vs the naive scan references of Verify.Oracle *)
+
+let same_deconv = Verify.Oracle.same_deconv
+
+let same_delay upper lower = Verify.Oracle.same_delay ~upper ~lower
+
+let unstable f g =
+  match Curve.min_plus_deconv f g with
+  | _ -> false
+  | exception Curve.Unstable _ -> true
+
+(* Denominators whose pairwise lcm can pass 720 (29 * 31), so some pairs
+   go through [harmonise]. *)
+let dens = [ 1; 2; 3; 4; 5; 6; 8; 12; 25; 27; 29; 31 ]
+
+(* Random curves from explicit samples: arbitrary (non-monotone) or
+   sorted samples, any horizon up to 40, and a tail offset on the
+   conservative side of the kind — negative for [Lower], so the tail can
+   dip below the sample at the horizon. *)
+let gen_curve kinds =
+  let open QCheck.Gen in
+  oneofl kinds >>= fun kind ->
+  int_range 1 40 >>= fun h ->
+  array_size (return (h + 1)) (int_range 0 60) >>= fun samples ->
+  bool >>= fun sorted ->
+  int_range 0 8 >>= fun num ->
+  oneofl dens >>= fun den ->
+  int_range 0 6 >>= fun off ->
+  if sorted then Array.sort compare samples;
+  let tail_offset = match kind with Curve.Upper -> off | Curve.Lower -> -off in
+  return (Curve.of_samples ~kind ~tail_rate:(num, den) ~tail_offset samples)
+
+let arb_pair gen_a gen_b =
+  QCheck.make
+    ~print:(fun (a, b) -> Format.asprintf "%a@ /@ %a" Curve.pp a Curve.pp b)
+    (QCheck.Gen.pair gen_a gen_b)
+
+let both = [ Curve.Upper; Curve.Lower ]
+
+let prop_deconv_matches_reference =
+  QCheck.Test.make ~name:"deconvolution equals the lag-scan reference"
+    ~count:1000
+    (arb_pair (gen_curve both) (gen_curve both))
+    (fun (f, g) -> same_deconv f g)
+
+let prop_delay_matches_reference =
+  QCheck.Test.make ~name:"delay equals the forward-search reference"
+    ~count:1000
+    (arb_pair (gen_curve [ Curve.Upper ]) (gen_curve [ Curve.Lower ]))
+    (fun (upper, lower) -> same_delay upper lower)
+
+let prop_kernels_on_workload_curves =
+  (* the curves the hybrid backend really builds: certified staircases
+     against TDMA service and against the remaining service after one
+     interferer (whose negative tail offset dips at its horizon) *)
+  QCheck.Test.make ~name:"kernels equal references on workload curves"
+    ~count:40
+    QCheck.(
+      pair
+        (pair (int_range 3 60) (int_range 0 40))
+        (pair (int_range 1 4) (int_range 1 6)))
+    (fun ((period, jitter), (wcet, slot)) ->
+      let s = Stream.periodic_jitter ~name:"t" ~period ~jitter () in
+      let alpha = Workload.arrival_upper ~horizon:(40 + period) ~wcet s in
+      let tdma = Workload.service_tdma ~horizon:64 ~slot ~cycle:(slot + 3) in
+      let rest =
+        Gpc.remaining_service ~arrival_upper:alpha
+          ~service_lower:(Workload.service_full ~horizon:50)
+      in
+      List.for_all
+        (fun beta -> same_deconv alpha beta && same_delay alpha beta)
+        [ tdma; rest ])
+
+let test_kernel_outcomes () =
+  let stair =
+    Curve.of_samples ~kind:Curve.Upper ~tail_rate:(1, 2) ~tail_offset:1
+      [| 0; 2; 2; 3; 3; 4 |]
+  in
+  let slow = Curve.linear ~kind:Curve.Lower ~horizon:7 ~rate:(1, 3) in
+  let fast = Curve.linear ~kind:Curve.Lower ~horizon:9 ~rate:(1, 1) in
+  (* Unstable: numerator rate 1/2 above denominator rate 1/3 *)
+  Alcotest.(check bool) "unstable" true (unstable stair slow);
+  Alcotest.(check bool) "unstable agrees" true (same_deconv stair slow);
+  Alcotest.(check bool) "stable" false (unstable stair fast);
+  Alcotest.(check bool) "stable agrees" true (same_deconv stair fast);
+  (* None by rate, and None by the search cap: a flat service never
+     reaches the demand of an equally flat but higher arrival curve *)
+  Alcotest.(check (option int)) "delay overloaded" None
+    (Curve.horizontal_deviation ~upper:stair ~lower:slow);
+  Alcotest.(check bool) "overloaded agrees" true (same_delay stair slow);
+  let high =
+    Curve.of_samples ~kind:Curve.Upper ~tail_rate:(0, 1) ~tail_offset:0
+      [| 5; 5 |]
+  in
+  let flat =
+    Curve.of_samples ~kind:Curve.Lower ~tail_rate:(0, 1) ~tail_offset:0
+      [| 0; 1; 2 |]
+  in
+  Alcotest.(check (option int)) "delay unreachable" None
+    (Curve.horizontal_deviation ~upper:high ~lower:flat);
+  Alcotest.(check bool) "unreachable agrees" true (same_delay high flat);
+  Alcotest.(check bool) "bounded agrees" true (same_delay stair fast);
+  (* a dropping arrival curve against a lower curve that dips at its
+     horizon: the delay search must restart, not resume *)
+  let dropping =
+    Curve.of_samples ~kind:Curve.Upper ~tail_rate:(1, 4) ~tail_offset:2
+      [| 0; 6; 1; 7; 2; 2 |]
+  in
+  let dipping =
+    Curve.of_samples ~kind:Curve.Lower ~tail_rate:(1, 2) ~tail_offset:(-3)
+      [| 0; 1; 3; 4; 6 |]
+  in
+  Alcotest.(check bool) "restart agrees" true (same_delay dropping dipping);
+  Alcotest.(check bool) "dip deconv agrees" true (same_deconv dropping dipping)
+
 let () =
   Alcotest.run "rtc"
     [
@@ -352,11 +468,17 @@ let () =
             test_tdma_delay_matches_busy_window;
           Alcotest.test_case "chain order" `Quick test_fp_chain_order_matters;
         ] );
+      ( "kernels",
+        [ Alcotest.test_case "outcomes vs reference" `Quick test_kernel_outcomes ]
+      );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
           [
             prop_conv_dominated;
             prop_deconv_dominates;
             prop_arrival_tails_conservative;
+            prop_deconv_matches_reference;
+            prop_delay_matches_reference;
+            prop_kernels_on_workload_curves;
           ] );
     ]
