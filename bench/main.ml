@@ -1,21 +1,19 @@
 (* Experiment harness: regenerates every table and figure of the paper's
    evaluation (section 6) plus the ablation and scaling experiments listed
-   in DESIGN.md, and runs Bechamel micro-benchmarks of the analysis.
+   in DESIGN.md, and the two deterministic bound tables BENCH_9.json and
+   BENCH_10.json.  Timing lives in perfbench/ (see perfbench/README.md);
+   nothing here reads a clock.
 
    Usage:
      dune exec bench/main.exe            # all tables, figures, ablations
      dune exec bench/main.exe -- table3  # a single experiment
-     dune exec bench/main.exe -- perf    # Bechamel timing benches
-     dune exec bench/main.exe -- explore # domain-pool scaling (BENCH_3.json)
-     dune exec bench/main.exe -- scale   # kernel A/B + pool scaling (BENCH_6.json)
-     dune exec bench/main.exe -- serve   # warm-session daemon storm (BENCH_serve.json)
      dune exec bench/main.exe -- propagation # per-mode tightness table (BENCH_9.json)
      dune exec bench/main.exe -- hybrid  # rtc/cpa/mixed backend table (BENCH_10.json)
    Experiments: tables table3 figure4 ablation-pending ablation-k scaling
    convergence baseline-models buffers cross-framework robustness validate
-   perf explore scale serve propagation hybrid
-   (perf, explore, scale, serve, propagation and hybrid are
-   timing/guarded runs, excluded from the no-argument sweep) *)
+   propagation hybrid
+   (propagation and hybrid rewrite the BENCH files in the cwd and are
+   excluded from the no-argument sweep) *)
 
 module Time = Timebase.Time
 module Count = Timebase.Count
@@ -36,19 +34,6 @@ let ok = function
     exit 1
 
 let analyse_paper mode = ok (Engine.analyse ~mode (Paper.spec ()))
-
-(* Telemetry section of the BENCH_*.json files: run [f] once with
-   latency histograms on (untimed, so the measured loops above stay
-   comparable across revisions), then snapshot counters + histograms.
-   The snapshot JSON ends in a newline and is pretty-printed for a
-   2-space indent; re-indent so it nests as a top-level "metrics" key. *)
-let metrics_json ~warm =
-  Obs.Hist.clear_all ();
-  Obs.Hist.set_enabled true;
-  warm ();
-  Obs.Hist.set_enabled false;
-  let raw = String.trim (Obs.Snapshot.to_json (Obs.Snapshot.capture ())) in
-  String.concat "\n  " (String.split_on_char '\n' raw)
 
 (* ------------------------------------------------------------------ *)
 (* E1/E2: Tables 1 and 2 — system parameters and bus analysis          *)
@@ -443,898 +428,6 @@ let validate () =
       ("F1" :: "F2" :: Paper.cpu_tasks)
 
 (* ------------------------------------------------------------------ *)
-(* perf: incremental engine speedup + Bechamel micro-benchmarks        *)
-
-(* Wall-clock of the best of [runs] executions (discarding one warmup),
-   in milliseconds. *)
-let time_ms ?(runs = 5) f =
-  ignore (f ());
-  let best = ref infinity in
-  for _ = 1 to runs do
-    let t0 = Unix.gettimeofday () in
-    ignore (f ());
-    best := Stdlib.min !best (Unix.gettimeofday () -. t0)
-  done;
-  !best *. 1000.0
-
-let same_outcomes (a : Engine.result) (b : Engine.result) =
-  List.length a.outcomes = List.length b.outcomes
-  && List.for_all2
-       (fun (x : Engine.element_outcome) (y : Engine.element_outcome) ->
-         String.equal x.element y.element
-         && String.equal x.resource y.resource
-         &&
-         match x.outcome, y.outcome with
-         | Scheduling.Busy_window.Bounded i, Scheduling.Busy_window.Bounded j
-           ->
-           Interval.equal i j
-         | Scheduling.Busy_window.Unbounded _, Scheduling.Busy_window.Unbounded _
-           ->
-           true
-         | _ -> false)
-       a.outcomes b.outcomes
-
-let engine_speedup () =
-  banner "perf: incremental fixed-point engine vs full recompute (ms, best of 5)";
-  let cases =
-    [
-      "paper_hierarchical", Paper.spec (), Engine.Hierarchical;
-      "paper_flat_sem", Paper.spec (), Engine.Flat_sem;
-      "gateway_hierarchical", Scenarios.Gateway.spec (), Engine.Hierarchical;
-      "fan_in_8", Scenarios.Synthetic.fan_in ~signals:8 (), Engine.Hierarchical;
-      "chain_16", Scenarios.Synthetic.chain ~stages:16 (), Engine.Hierarchical;
-    ]
-  in
-  Printf.printf "%-22s %10s %10s %8s %6s %9s %9s\n" "system" "full" "incr"
-    "speedup" "iters" "analysed" "reused";
-  let rows =
-    List.map
-      (fun (name, spec, mode) ->
-        let inc = ok (Engine.analyse ~mode ~incremental:true spec) in
-        let full = ok (Engine.analyse ~mode ~incremental:false spec) in
-        if not (same_outcomes inc full) then begin
-          Printf.eprintf "%s: incremental and full outcomes differ!\n" name;
-          exit 1
-        end;
-        let t_inc =
-          time_ms (fun () -> Engine.analyse ~mode ~incremental:true spec)
-        in
-        let t_full =
-          time_ms (fun () -> Engine.analyse ~mode ~incremental:false spec)
-        in
-        let speedup = t_full /. t_inc in
-        Printf.printf "%-22s %9.3f %9.3f %7.2fx %6d %9d %9d\n" name t_full
-          t_inc speedup inc.Engine.iterations inc.Engine.stats.resources_analysed
-          inc.stats.resources_reused;
-        name, t_full, t_inc, speedup, inc)
-      cases
-  in
-  let best = List.fold_left (fun acc (_, _, _, s, _) -> Stdlib.max acc s) 0.0 rows in
-  Printf.printf "(identical outcomes in every case; best speedup %.2fx)\n" best;
-  let oc = open_out "BENCH_1.json" in
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf "{\n  \"benchmark\": \"incremental engine vs full recompute\",\n";
-  Buffer.add_string buf "  \"unit\": \"ms, best of 5 runs\",\n  \"cases\": [\n";
-  List.iteri
-    (fun i (name, t_full, t_inc, speedup, (inc : Engine.result)) ->
-      Buffer.add_string buf
-        (Printf.sprintf
-           "    {\"name\": %S, \"full_ms\": %.3f, \"incremental_ms\": %.3f, \
-            \"speedup\": %.2f, \"identical_outcomes\": true, \
-            \"iterations\": %d, \"resources_analysed\": %d, \
-            \"resources_reused\": %d, \"streams_invalidated\": %d, \
-            \"closure_evals\": %d, \"periodic_evals\": %d}%s\n"
-           name t_full t_inc speedup inc.Engine.iterations
-           inc.Engine.stats.resources_analysed inc.stats.resources_reused
-           inc.stats.streams_invalidated inc.stats.curve.closure_evals
-           inc.stats.curve.periodic_evals
-           (if i = List.length rows - 1 then "" else ",")))
-    rows;
-  let metrics =
-    metrics_json ~warm:(fun () ->
-        ignore (Engine.analyse ~mode:Engine.Hierarchical (Paper.spec ())))
-  in
-  Buffer.add_string buf
-    (Printf.sprintf "  ],\n  \"best_speedup\": %.2f,\n  \"metrics\": %s\n}\n"
-       best metrics);
-  output_string oc (Buffer.contents buf);
-  close_out oc;
-  Printf.printf "wrote BENCH_1.json\n"
-
-let perf () =
-  engine_speedup ();
-  banner "perf: Bechamel micro-benchmarks (ns per run)";
-  let open Bechamel in
-  let spec = Paper.spec () in
-  let fresh_or () =
-    (* rebuilt each run so memoization does not short-circuit the work *)
-    let s =
-      Event_model.Combine.or_combine
-        [
-          Stream.periodic ~name:"a" ~period:250;
-          Stream.periodic ~name:"b" ~period:450;
-          Stream.periodic ~name:"c" ~period:700;
-        ]
-    in
-    Stream.delta_min s 64
-  in
-  let tests =
-    [
-      Test.make ~name:"table1+2: frame hierarchy construction"
-        (Staged.stage (fun () ->
-           Hem.Model.arity
-             (Comstack.Frame.hierarchy
-                (Comstack.Frame.make ~name:"F1" ~send_type:Comstack.Frame.Direct
-                   ~signals:
-                     [
-                       Comstack.Signal.triggering ~name:"s1"
-                         (Stream.periodic ~name:"s1" ~period:250);
-                       Comstack.Signal.pending ~name:"s3"
-                         (Stream.periodic ~name:"s3" ~period:1000);
-                     ]
-                   ~tx_time:(Interval.point 4) ~priority:1))));
-      Test.make ~name:"table3: full analysis, flat mode"
-        (Staged.stage (fun () ->
-           ignore (Engine.analyse ~mode:Engine.Flat_sem spec)));
-      Test.make ~name:"table3: full analysis, hierarchical mode"
-        (Staged.stage (fun () ->
-           ignore (Engine.analyse ~mode:Engine.Hierarchical spec)));
-      Test.make ~name:"figure4: eta+ series on fresh OR stream"
-        (Staged.stage (fun () -> ignore (fresh_or ())));
-      Test.make ~name:"validate: 100k-unit simulation"
-        (Staged.stage (fun () ->
-           ignore
-             (Des.Simulator.run
-                ~generators:
-                  [
-                    "S1", Des.Gen.periodic ~period:250 ();
-                    "S2", Des.Gen.periodic ~period:450 ();
-                    "S3", Des.Gen.periodic ~period:1000 ();
-                    "S4", Des.Gen.periodic ~period:400 ();
-                  ]
-                ~horizon:100_000 spec)));
-    ]
-  in
-  let grouped = Test.make_grouped ~name:"hem" tests in
-  let instances = Toolkit.Instance.[ monotonic_clock ] in
-  let cfg =
-    Benchmark.cfg ~limit:300 ~quota:(Bechamel.Time.second 0.5) ~stabilize:true ()
-  in
-  let raw = Benchmark.all cfg instances grouped in
-  let ols =
-    Analyze.ols ~r_square:true ~bootstrap:0 ~predictors:[| Measure.run |]
-  in
-  let results = Analyze.all ols Toolkit.Instance.monotonic_clock raw in
-  let rows =
-    Hashtbl.fold (fun name o acc -> (name, o) :: acc) results []
-    |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-  in
-  List.iter
-    (fun (name, o) ->
-      let estimate =
-        match Analyze.OLS.estimates o with
-        | Some (e :: _) -> Printf.sprintf "%.0f ns/run" e
-        | Some [] | None -> "n/a"
-      in
-      Printf.printf "%-55s %s\n" name estimate)
-    rows
-
-(* ------------------------------------------------------------------ *)
-(* explore: domain-pool scaling on a design-space sweep (BENCH_3.json)  *)
-
-(* A >=200-variant sweep: the paper system over S3 period x T3 CET
-   scale, plus synthetic fan-in systems over signal count x CET.  The
-   paper-system CET scaling rounds up (ceil(40 * p / 100)), so adjacent
-   percents collide on the same spec and the content-addressed cache
-   gets genuine hits. *)
-let explore_items () =
-  let grid =
-    Explore.Space.grid
-      [
-        Explore.Space.int_axis "s3"
-          (fun period -> Explore.Space.Source_period { source = "S3"; period })
-          [ 600; 700; 800; 900; 1000; 1100; 1200; 1300; 1400 ];
-        Explore.Space.int_axis "cet"
-          (fun percent -> Explore.Space.Cet_scale { task = "T3"; percent })
-          (List.init 25 (fun i -> 90 + i));
-      ]
-  in
-  let paper =
-    Explore.Driver.items_of_variants ~base:(fun () -> Paper.spec ()) grid
-  in
-  (* items need not come from Space edits: any label + domain-local spec
-     builder over pure data works *)
-  let fan_in =
-    List.concat_map
-      (fun signals ->
-        List.map
-          (fun cet ->
-            {
-              Explore.Driver.label =
-                Printf.sprintf "fan_in s=%d cet=%d" signals cet;
-              build =
-                (fun () -> Scenarios.Synthetic.fan_in ~signals ~cet ());
-            })
-          (List.init 10 (fun i -> 10 + (2 * i))))
-      [ 2; 3; 4; 5; 6 ]
-  in
-  paper @ fan_in
-
-let explore_bench () =
-  banner "explore: domain-pool scaling, 275-variant sweep (BENCH_3.json)";
-  let cores = Domain.recommended_domain_count () in
-  let job_counts = [ 1; 2; 4 ] in
-  let render report =
-    let buf = Buffer.create 4096 in
-    let fmt = Format.formatter_of_buffer buf in
-    Explore.Render.csv fmt report;
-    Format.pp_print_flush fmt ();
-    Buffer.contents buf
-  in
-  Printf.printf "%-6s %10s %9s %8s %7s %6s\n" "jobs" "wall ms" "speedup"
-    "variants" "unique" "hits";
-  let runs =
-    List.map
-      (fun jobs ->
-        let report = Explore.Driver.run ~jobs (explore_items ()) in
-        jobs, report, render report)
-      job_counts
-  in
-  let _, first_report, first_csv = List.hd runs in
-  let identical =
-    List.for_all (fun (_, _, csv) -> String.equal csv first_csv) runs
-  in
-  if not identical then begin
-    Printf.eprintf "explore: results differ across job counts!\n";
-    exit 1
-  end;
-  let wall_1 =
-    let _, (r : Explore.Driver.report), _ = List.hd runs in
-    r.wall_ms
-  in
-  List.iter
-    (fun (jobs, (r : Explore.Driver.report), _) ->
-      Printf.printf "%-6d %10.1f %8.2fx %8d %7d %6d\n" jobs r.wall_ms
-        (wall_1 /. r.wall_ms) (List.length r.rows) r.cache.entries
-        r.cache.hits)
-    runs;
-  Printf.printf
-    "(identical rows at every job count; %d core%s available; cache hits\n\
-    \ come from CET rounding collisions across adjacent percents)\n"
-    cores (if cores = 1 then "" else "s");
-  let oc = open_out "BENCH_3.json" in
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf
-    "{\n  \"benchmark\": \"design-space exploration pool scaling\",\n";
-  Buffer.add_string buf
-    (Printf.sprintf
-       "  \"variants\": %d,\n  \"unique\": %d,\n  \"cache_hits\": %d,\n\
-       \  \"cores\": %d,\n  \"rows_identical\": true,\n  \"runs\": [\n"
-       (List.length first_report.rows) first_report.cache.entries
-       first_report.cache.hits cores);
-  List.iteri
-    (fun i (jobs, (r : Explore.Driver.report), _) ->
-      Buffer.add_string buf
-        (Printf.sprintf
-           "    {\"jobs\": %d, \"effective_jobs\": %d, \"wall_ms\": %.1f, \
-            \"speedup_vs_jobs1\": %.2f}%s\n"
-           jobs
-           (Explore.Pool.effective_jobs jobs)
-           r.wall_ms (wall_1 /. r.wall_ms)
-           (if i = List.length runs - 1 then "" else ",")))
-    runs;
-  let metrics =
-    metrics_json ~warm:(fun () ->
-        ignore (Explore.Driver.run ~jobs:(Stdlib.min 2 cores) (explore_items ())))
-  in
-  Buffer.add_string buf (Printf.sprintf "  ],\n  \"metrics\": %s\n}\n" metrics);
-  output_string oc (Buffer.contents buf);
-  close_out oc;
-  Printf.printf "wrote BENCH_3.json\n"
-
-(* ------------------------------------------------------------------ *)
-(* scale: hot-path kernel speedups + honest pool scaling (BENCH_6.json) *)
-
-(* Serial A/B of the batched curve kernels: the same analysis run with
-   kernels forced off (the scalar legacy paths) and on (batched range
-   sweeps, compact task-op construction, demand kernels), outcomes
-   asserted identical, wall time and curve-probe counters compared. *)
-let kernel_case name spec mode =
-  let module Kernels = Event_model.Kernels in
-  let scalar_result =
-    Kernels.with_scalar (fun () ->
-      ok (Engine.analyse ~mode ~incremental:false spec))
-  in
-  let batched_result =
-    Kernels.with_batched (fun () ->
-      ok (Engine.analyse ~mode ~incremental:false spec))
-  in
-  if not (same_outcomes scalar_result batched_result) then begin
-    Printf.eprintf "%s: scalar and batched outcomes differ!\n" name;
-    exit 1
-  end;
-  let t_scalar =
-    time_ms (fun () ->
-      Kernels.with_scalar (fun () ->
-        Engine.analyse ~mode ~incremental:false spec))
-  in
-  let t_batched =
-    time_ms (fun () ->
-      Kernels.with_batched (fun () ->
-        Engine.analyse ~mode ~incremental:false spec))
-  in
-  ( name,
-    t_scalar,
-    t_batched,
-    scalar_result.Engine.stats.curve,
-    batched_result.Engine.stats.curve )
-
-(* Bytes allocated per call, measured over [iters] calls of [f] after a
-   warmup call: the periodic-tail fast paths must not allocate at all. *)
-let bytes_per_call ?(iters = 100_000) f =
-  ignore (Sys.opaque_identity (f ()));
-  let b0 = Gc.allocated_bytes () in
-  for _ = 1 to iters do
-    ignore (Sys.opaque_identity (f ()))
-  done;
-  let b1 = Gc.allocated_bytes () in
-  (b1 -. b0) /. float_of_int iters
-
-let scale () =
-  banner "scale: curve kernels A/B + allocation + pool scaling (BENCH_6.json)";
-  let module Curve = Event_model.Curve in
-  (* --- serial kernel speedups ------------------------------------ *)
-  let cases =
-    [
-      kernel_case "chain_16" (Scenarios.Synthetic.chain ~stages:16 ())
-        Engine.Hierarchical;
-      kernel_case "paper_flat_sem" (Paper.spec ()) Engine.Flat_sem;
-      kernel_case "paper_hierarchical" (Paper.spec ()) Engine.Hierarchical;
-      kernel_case "network_8" (Scenarios.Synthetic.network ~seed:1 ~ecus:8 ())
-        Engine.Hierarchical;
-    ]
-  in
-  Printf.printf "%-20s %10s %10s %8s %12s %12s %8s\n" "system" "scalar"
-    "batched" "speedup" "per.evals" "per.evals'" "reduc.";
-  List.iter
-    (fun (name, t_s, t_b, (cs : Curve.stats), (cb : Curve.stats)) ->
-      Printf.printf "%-20s %9.3f %9.3f %7.2fx %12d %12d %7.1fx\n" name t_s t_b
-        (t_s /. t_b) cs.Curve.periodic_evals cb.Curve.periodic_evals
-        (float_of_int cs.Curve.periodic_evals
-        /. float_of_int (Stdlib.max 1 cb.Curve.periodic_evals)))
-    cases;
-  Printf.printf "(scalar = kernels disabled; identical outcomes asserted)\n";
-  (* --- allocation-free fast paths -------------------------------- *)
-  let periodic_curve =
-    Stream.delta_min_curve
-      (Stream.periodic_jitter ~name:"alloc-probe" ~period:250 ~jitter:400 ())
-  in
-  let packed_eval =
-    bytes_per_call (fun () -> Curve.eval_packed periodic_curve 1013)
-  in
-  let legacy_eval =
-    bytes_per_call (fun () -> Curve.eval periodic_curve 1013)
-  in
-  let packed_count =
-    bytes_per_call (fun () ->
-      Curve.count_lt_packed periodic_curve ~lo:1 ~limit:100_000)
-  in
-  banner "scale: allocation per call on the periodic tail (bytes)";
-  Printf.printf "  eval_packed      %8.2f\n" packed_eval;
-  Printf.printf "  eval (boxed)     %8.2f\n" legacy_eval;
-  Printf.printf "  count_lt_packed  %8.2f\n" packed_count;
-  if packed_eval > 1.0 || packed_count > 1.0 then begin
-    Printf.eprintf "scale: packed periodic fast path allocates!\n";
-    exit 1
-  end;
-  (* --- pool scaling on a many-ECU sweep --------------------------- *)
-  banner "scale: pool scaling, synthetic network sweep";
-  let items () =
-    List.concat_map
-      (fun ecus ->
-        List.map
-          (fun seed ->
-            {
-              Explore.Driver.label = Printf.sprintf "net e=%d s=%d" ecus seed;
-              build = (fun () -> Scenarios.Synthetic.network ~seed ~ecus ());
-            })
-          (List.init 12 (fun i -> i + 1)))
-      [ 4; 6; 8 ]
-  in
-  let cores = Domain.recommended_domain_count () in
-  let job_counts = [ 1; 2; 4 ] in
-  let render report =
-    let buf = Buffer.create 4096 in
-    let fmt = Format.formatter_of_buffer buf in
-    Explore.Render.csv fmt report;
-    Format.pp_print_flush fmt ();
-    Buffer.contents buf
-  in
-  (* one untimed pass to warm page cache / allocator before measuring *)
-  ignore (Explore.Driver.run ~jobs:1 (items ()));
-  (* a single sweep is ~tens of ms, well inside container timing jitter;
-     interleave 5 rounds across the job counts (rather than 5 back-to-back
-     runs per count) so slow drift hits every count equally, and keep the
-     best round for each *)
-  let best = Hashtbl.create 8 in
-  for _ = 1 to 5 do
-    List.iter
-      (fun jobs ->
-        let report = Explore.Driver.run ~jobs (items ()) in
-        match Hashtbl.find_opt best jobs with
-        | Some (b : Explore.Driver.report) when b.wall_ms <= report.wall_ms ->
-          ()
-        | _ -> Hashtbl.replace best jobs report)
-      job_counts
-  done;
-  let runs =
-    List.map
-      (fun jobs ->
-        let report = Hashtbl.find best jobs in
-        jobs, report, render report)
-      job_counts
-  in
-  let _, first_report, first_csv = List.hd runs in
-  if not (List.for_all (fun (_, _, csv) -> String.equal csv first_csv) runs)
-  then begin
-    Printf.eprintf "scale: results differ across job counts!\n";
-    exit 1
-  end;
-  let wall_1 =
-    let _, (r : Explore.Driver.report), _ = List.hd runs in
-    r.wall_ms
-  in
-  Printf.printf "%-6s %8s %10s %9s\n" "jobs" "domains" "wall ms" "speedup";
-  List.iter
-    (fun (jobs, (r : Explore.Driver.report), _) ->
-      Printf.printf "%-6d %8d %10.1f %8.2fx\n" jobs
-        (Explore.Pool.effective_jobs jobs)
-        r.wall_ms (wall_1 /. r.wall_ms))
-    runs;
-  Printf.printf
-    "(byte-identical rows at every jobs count; %d core%s, so requests\n\
-    \ beyond that run on %d domain%s — oversubscription only costs)\n"
-    cores
-    (if cores = 1 then "" else "s")
-    cores
-    (if cores = 1 then "" else "s");
-  (* --- BENCH_6.json ----------------------------------------------- *)
-  let oc = open_out "BENCH_6.json" in
-  let buf = Buffer.create 2048 in
-  Buffer.add_string buf
-    "{\n  \"benchmark\": \"hot-path curve kernels + explore pool scaling\",\n";
-  Buffer.add_string buf "  \"unit\": \"ms, best of 5 runs\",\n  \"kernels\": [\n";
-  List.iteri
-    (fun i (name, t_s, t_b, (cs : Curve.stats), (cb : Curve.stats)) ->
-      Buffer.add_string buf
-        (Printf.sprintf
-           "    {\"name\": %S, \"scalar_ms\": %.3f, \"batched_ms\": %.3f, \
-            \"speedup\": %.2f, \"identical_outcomes\": true, \
-            \"scalar_periodic_evals\": %d, \"batched_periodic_evals\": %d, \
-            \"periodic_eval_reduction\": %.1f, \"batch_evals\": %d, \
-            \"batch_probe_count\": %d}%s\n"
-           name t_s t_b (t_s /. t_b) cs.Curve.periodic_evals
-           cb.Curve.periodic_evals
-           (float_of_int cs.Curve.periodic_evals
-           /. float_of_int (Stdlib.max 1 cb.Curve.periodic_evals))
-           cb.Curve.batch_evals cb.Curve.batch_probe_count
-           (if i = List.length cases - 1 then "" else ",")))
-    cases;
-  Buffer.add_string buf
-    (Printf.sprintf
-       "  ],\n  \"allocation_bytes_per_call\": {\"eval_packed\": %.2f, \
-        \"eval_boxed\": %.2f, \"count_lt_packed\": %.2f},\n"
-       packed_eval legacy_eval packed_count);
-  Buffer.add_string buf
-    (Printf.sprintf
-       "  \"pool\": {\"cores\": %d, \"sweep_items\": %d, \
-        \"rows_identical\": true, \"runs\": [\n"
-       cores
-       (List.length first_report.Explore.Driver.rows));
-  List.iteri
-    (fun i (jobs, (r : Explore.Driver.report), _) ->
-      Buffer.add_string buf
-        (Printf.sprintf
-           "    {\"jobs\": %d, \"effective_domains\": %d, \"wall_ms\": %.1f, \
-            \"speedup_vs_jobs1\": %.2f}%s\n"
-           jobs
-           (Explore.Pool.effective_jobs jobs)
-           r.wall_ms (wall_1 /. r.wall_ms)
-           (if i = List.length runs - 1 then "" else ",")))
-    runs;
-  let metrics =
-    metrics_json ~warm:(fun () ->
-        ignore (Engine.analyse ~mode:Engine.Hierarchical (Paper.spec ())))
-  in
-  Buffer.add_string buf
-    (Printf.sprintf "  ]},\n  \"metrics\": %s\n}\n" metrics);
-  output_string oc (Buffer.contents buf);
-  close_out oc;
-  Printf.printf "wrote BENCH_6.json\n"
-
-(* ------------------------------------------------------------------ *)
-(* serve: warm-session daemon vs cold per-request analysis (BENCH_serve) *)
-
-module Json = Serve.Protocol.Json
-module Client = Serve.Client
-
-let read_file path =
-  let ic = open_in path in
-  let n = in_channel_length ic in
-  let contents = really_input_string ic n in
-  close_in ic;
-  contents
-
-let percentile sorted p =
-  let n = Array.length sorted in
-  if n = 0 then 0.0
-  else sorted.(Stdlib.min (n - 1) (int_of_float (float_of_int n *. p)))
-
-let serve_connect path =
-  let rec go n =
-    match Client.connect (`Unix path) with
-    | Ok c -> c
-    | Error e ->
-      if n = 0 then begin
-        Printf.eprintf "serve bench: daemon did not come up: %s\n" e;
-        exit 1
-      end;
-      Thread.delay 0.05;
-      go (n - 1)
-  in
-  go 100
-
-let reply_ok what = function
-  | Error e ->
-    Printf.eprintf "serve bench: %s: %s\n" what e;
-    exit 1
-  | Ok (r : Serve.Protocol.reply) ->
-    if Client.exit_code r <> 0 then begin
-      Printf.eprintf "serve bench: %s: status %d\n" what (Client.exit_code r);
-      exit 1
-    end;
-    r
-
-let must_session what r =
-  match Client.session_id r with
-  | Some id -> id
-  | None ->
-    Printf.eprintf "serve bench: %s: reply has no session id\n" what;
-    exit 1
-
-(* render outcomes exactly as the daemon does, for byte-comparison *)
-let outcome_json (o : Engine.element_outcome) =
-  match o.Engine.outcome with
-  | Scheduling.Busy_window.Bounded iv ->
-    Json.Obj
-      [ "element", Json.Str o.Engine.element;
-        "resource", Json.Str o.Engine.resource;
-        "outcome", Json.Str "bounded";
-        "lo", Json.Int (Interval.lo iv);
-        "hi", Json.Int (Interval.hi iv) ]
-  | Scheduling.Busy_window.Unbounded reason ->
-    Json.Obj
-      [ "element", Json.Str o.Engine.element;
-        "resource", Json.Str o.Engine.resource;
-        "outcome", Json.Str "unbounded";
-        "reason", Json.Str reason ]
-
-let outcomes_str outcomes =
-  Json.to_string (Json.Arr (List.map outcome_json outcomes))
-
-let body_outcomes what (r : Serve.Protocol.reply) =
-  match Json.member "outcomes" r.Serve.Protocol.body with
-  | Some j -> Json.to_string j
-  | None ->
-    Printf.eprintf "serve bench: %s: reply has no outcomes\n" what;
-    exit 1
-
-let toggle_edit i =
-  [ Explore.Space.Task_priority
-      { task = "t3"; priority = (if i mod 2 = 0 then 4 else 3) } ]
-
-let serve_bench () =
-  banner "serve: warm incremental sessions vs cold per-request analysis";
-  let spec_text = read_file "examples/paper.spec" in
-  let base_spec =
-    match Cpa_system.Spec_file.parse spec_text with
-    | Ok d -> Cpa_system.Spec_file.to_spec d
-    | Error e ->
-      Printf.eprintf "serve bench: examples/paper.spec: %s\n" e;
-      exit 1
-  in
-  let path =
-    Filename.concat
-      (Filename.get_temp_dir_name ())
-      (Printf.sprintf "hem-bench-serve-%d.sock" (Unix.getpid ()))
-  in
-  let cfg = Serve.Server.config ~unix_path:path ~jobs:4 () in
-  let server = Thread.create Serve.Server.run cfg in
-  Fun.protect
-    ~finally:(fun () ->
-      (match Client.connect (`Unix path) with
-      | Ok c ->
-        ignore (Client.shutdown c);
-        Client.close c
-      | Error _ -> ());
-      Thread.join server;
-      if Sys.file_exists path then Sys.remove path)
-  @@ fun () ->
-  let c = serve_connect path in
-  (* --- cold baseline: a fresh session (upload + from-scratch
-     analysis) per request, closed immediately — the pattern the warm
-     daemon replaces *)
-  let cold_n = 20 in
-  let cold_lat =
-    Array.init cold_n (fun _ ->
-      let t0 = Unix.gettimeofday () in
-      let r = reply_ok "cold load" (Client.load c ~spec:spec_text) in
-      let dt = (Unix.gettimeofday () -. t0) *. 1e3 in
-      let s = must_session "cold load" r in
-      ignore (reply_ok "cold close" (Client.close_session c ~session:s));
-      dt)
-  in
-  (* --- warm session: an idempotent edit cycle (T3's priority toggled
-     3 <-> 4) against one resident session; every edit re-analyses only
-     the CPU, the bus streams are reused *)
-  let warm_m = 50 in
-  let load = reply_ok "warm load" (Client.load c ~spec:spec_text) in
-  let session = must_session "warm load" load in
-  let reused = ref 0 in
-  let byte_identical = ref true in
-  let mirror = ref base_spec in
-  let warm_lat =
-    Array.init warm_m (fun i ->
-      let edits = toggle_edit i in
-      let t0 = Unix.gettimeofday () in
-      let r = reply_ok "warm edit" (Client.edit c ~session edits) in
-      let dt = (Unix.gettimeofday () -. t0) *. 1e3 in
-      (match Json.member "stats" r.Serve.Protocol.body with
-      | Some stats -> begin
-        match
-          Option.bind (Json.member "resources-reused" stats) Json.to_int
-        with
-        | Some n -> reused := !reused + n
-        | None -> ()
-      end
-      | None -> ());
-      mirror := Explore.Space.apply_all !mirror edits;
-      dt)
-  in
-  (* warm-delta vs cold from-scratch: the session's full outcome set
-     after the edit cycle must be byte-identical to an offline engine
-     run on the same final spec *)
-  let t0 = Unix.gettimeofday () in
-  let offline = ok (Engine.analyse !mirror) in
-  let engine_cold_ms = (Unix.gettimeofday () -. t0) *. 1e3 in
-  let final = reply_ok "warm analyse" (Client.analyse c ~session) in
-  if
-    not
-      (String.equal
-         (outcomes_str offline.Engine.outcomes)
-         (body_outcomes "warm analyse" final))
-  then begin
-    Printf.eprintf "serve bench: warm outcomes differ from cold engine!\n";
-    byte_identical := false
-  end;
-  ignore (reply_ok "warm close" (Client.close_session c ~session));
-  Client.close c;
-  (* --- per-request service cost, transport excluded. On a system
-     this small the socket roundtrip (~0.2 ms) floors the
-     client-observed latency of cold and warm requests alike, so the
-     headline speedup compares what each request costs the server:
-     cold = parse + context build + from-scratch analysis + full
-     outcome render (exactly handle_load's work per request); warm =
-     impact closure + incremental warm_update + delta render (exactly
-     handle_edit's work). Client-observed roundtrips are still
-     reported alongside. *)
-  let svc_cold =
-    Array.init cold_n (fun _ ->
-      let t0 = Unix.gettimeofday () in
-      let d =
-        match Cpa_system.Spec_file.parse spec_text with
-        | Ok d -> d
-        | Error _ -> exit 1
-      in
-      let spec = Cpa_system.Spec_file.to_spec d in
-      ignore (Spec.digest spec);
-      (match Engine.warm spec with
-      | Ok (_, r) -> ignore (outcomes_str r.Engine.outcomes)
-      | Error _ ->
-        Printf.eprintf "serve bench: cold service run failed\n";
-        exit 1);
-      (Unix.gettimeofday () -. t0) *. 1e3)
-  in
-  let svc_warm =
-    match Engine.warm base_spec with
-    | Error _ ->
-      Printf.eprintf "serve bench: warm service init failed\n";
-      exit 1
-    | Ok (w, r0) ->
-      let spec = ref base_spec and last = ref r0.Engine.outcomes in
-      Array.init warm_m (fun i ->
-        let edits = toggle_edit i in
-        let t0 = Unix.gettimeofday () in
-        let new_spec, sources, elements =
-          List.fold_left
-            (fun (sp, srcs, els) e ->
-              let s', e' = Explore.Space.touched sp e in
-              (Explore.Space.apply sp e, s' @ srcs, e' @ els))
-            (!spec, [], []) edits
-        in
-        let stale =
-          List.sort_uniq String.compare
-            (Engine.affected !spec ~sources ~elements
-            @ Engine.affected new_spec ~sources ~elements)
-        in
-        (match Engine.warm_update w ~spec:new_spec ~stale with
-        | Ok r ->
-          let changed =
-            Engine.delta_outcomes ~before:!last ~after:r.Engine.outcomes
-          in
-          ignore (outcomes_str changed);
-          spec := new_spec;
-          last := r.Engine.outcomes
-        | Error _ ->
-          Printf.eprintf "serve bench: warm service update failed\n";
-          exit 1);
-        (Unix.gettimeofday () -. t0) *. 1e3)
-  in
-  let mean a = Array.fold_left ( +. ) 0.0 a /. float_of_int (Array.length a) in
-  let sorted a =
-    let s = Array.copy a in
-    Array.sort compare s;
-    s
-  in
-  let cold_s = sorted cold_lat and warm_s = sorted warm_lat in
-  let svc_cold_s = sorted svc_cold and svc_warm_s = sorted svc_warm in
-  let speedup = mean svc_cold /. mean svc_warm in
-  let rtt_speedup = mean cold_lat /. mean warm_lat in
-  let row label a s =
-    Printf.printf "%-34s %10.3f %10.3f %10.3f\n" label (mean a)
-      (percentile s 0.5) (percentile s 0.99)
-  in
-  Printf.printf "%-34s %10s %10s %10s\n" "" "mean ms" "p50 ms" "p99 ms";
-  row
-    (Printf.sprintf "cold request service (n=%d)" cold_n)
-    svc_cold svc_cold_s;
-  row
-    (Printf.sprintf "warm edit service (m=%d)" warm_m)
-    svc_warm svc_warm_s;
-  row (Printf.sprintf "cold load roundtrip (n=%d)" cold_n) cold_lat cold_s;
-  row (Printf.sprintf "warm edit roundtrip (m=%d)" warm_m) warm_lat warm_s;
-  Printf.printf
-    "warm vs cold speedup: %.1fx service, %.1fx client-observed (%d \
-     stream analyses reused; offline cold engine run: %.3f ms)\n"
-    speedup rtt_speedup !reused engine_cold_ms;
-  if !reused = 0 then begin
-    Printf.eprintf "serve bench: warm edits reused nothing!\n";
-    exit 1
-  end;
-  if speedup < 5.0 then begin
-    Printf.eprintf "serve bench: warm speedup %.2fx below the 5x floor\n"
-      speedup;
-    exit 1
-  end;
-  (* --- client storm: concurrent sessions, each its own system (a
-     distinct S3 period), hammering interleaved warm edits *)
-  let clients = 4 in
-  let storm_m = 25 in
-  let storm_lat = Array.make (clients * storm_m) 0.0 in
-  let storm_identical = Array.make clients false in
-  let t0 = Unix.gettimeofday () in
-  let threads =
-    List.init clients (fun k ->
-      Thread.create
-        (fun k ->
-          let c = serve_connect path in
-          let r = reply_ok "storm load" (Client.load c ~spec:spec_text) in
-          let session = must_session "storm load" r in
-          let personalise =
-            [ Explore.Space.Source_period
-                { source = "s3"; period = 1000 + (100 * (k + 1)) } ]
-          in
-          ignore (reply_ok "storm edit" (Client.edit c ~session personalise));
-          let mirror = ref (Explore.Space.apply_all base_spec personalise) in
-          for i = 0 to storm_m - 1 do
-            let edits = toggle_edit i in
-            let t0 = Unix.gettimeofday () in
-            ignore (reply_ok "storm edit" (Client.edit c ~session edits));
-            storm_lat.((k * storm_m) + i) <-
-              (Unix.gettimeofday () -. t0) *. 1e3;
-            mirror := Explore.Space.apply_all !mirror edits
-          done;
-          let final = reply_ok "storm analyse" (Client.analyse c ~session) in
-          let offline = ok (Engine.analyse !mirror) in
-          storm_identical.(k) <-
-            String.equal
-              (outcomes_str offline.Engine.outcomes)
-              (body_outcomes "storm analyse" final);
-          ignore (reply_ok "storm close" (Client.close_session c ~session));
-          Client.close c)
-        k)
-  in
-  List.iter Thread.join threads;
-  let storm_wall = (Unix.gettimeofday () -. t0) *. 1e3 in
-  let storm_sorted = sorted storm_lat in
-  let edits_per_sec =
-    float_of_int (clients * storm_m) /. (storm_wall /. 1e3)
-  in
-  let storm_ok = Array.for_all (fun b -> b) storm_identical in
-  Printf.printf
-    "storm: %d clients x %d edits in %.1f ms — %.0f edits/s, p50 %.3f ms, \
-     p99 %.3f ms%s\n"
-    clients storm_m storm_wall edits_per_sec
-    (percentile storm_sorted 0.5)
-    (percentile storm_sorted 0.99)
-    (if storm_ok then "" else " (OUTCOME MISMATCH)");
-  if not storm_ok then begin
-    Printf.eprintf "serve bench: storm outcomes differ from cold engine!\n";
-    exit 1
-  end;
-  (* --- BENCH_serve.json ------------------------------------------- *)
-  let oc = open_out "BENCH_serve.json" in
-  let buf = Buffer.create 2048 in
-  Buffer.add_string buf
-    "{\n  \"benchmark\": \"analysis-as-a-service warm sessions\",\n";
-  Buffer.add_string buf
-    (Printf.sprintf
-       "  \"cold\": {\"requests\": %d, \"service_mean_ms\": %.3f, \
-        \"service_p50_ms\": %.3f, \"service_p99_ms\": %.3f, \
-        \"rtt_mean_ms\": %.3f, \"rtt_p50_ms\": %.3f, \"rtt_p99_ms\": \
-        %.3f},\n"
-       cold_n (mean svc_cold)
-       (percentile svc_cold_s 0.5)
-       (percentile svc_cold_s 0.99)
-       (mean cold_lat) (percentile cold_s 0.5) (percentile cold_s 0.99));
-  Buffer.add_string buf
-    (Printf.sprintf
-       "  \"warm\": {\"edits\": %d, \"service_mean_ms\": %.3f, \
-        \"service_p50_ms\": %.3f, \"service_p99_ms\": %.3f, \
-        \"rtt_mean_ms\": %.3f, \"rtt_p50_ms\": %.3f, \"rtt_p99_ms\": %.3f, \
-        \"streams_reused\": %d},\n"
-       warm_m (mean svc_warm)
-       (percentile svc_warm_s 0.5)
-       (percentile svc_warm_s 0.99)
-       (mean warm_lat) (percentile warm_s 0.5) (percentile warm_s 0.99)
-       !reused);
-  Buffer.add_string buf
-    (Printf.sprintf "  \"warm_vs_cold_speedup\": %.2f,\n" speedup);
-  Buffer.add_string buf
-    (Printf.sprintf "  \"rtt_warm_vs_cold_speedup\": %.2f,\n" rtt_speedup);
-  Buffer.add_string buf
-    "  \"speedup_basis\": \"per-request service cost (parse + full \
-     analysis + render vs incremental update + delta render); rtt_* \
-     fields are client-observed over the Unix socket\",\n";
-  Buffer.add_string buf
-    (Printf.sprintf "  \"engine_cold_ms\": %.3f,\n" engine_cold_ms);
-  Buffer.add_string buf
-    (Printf.sprintf "  \"byte_identical\": %b,\n" (!byte_identical && storm_ok));
-  Buffer.add_string buf
-    (Printf.sprintf
-       "  \"storm\": {\"clients\": %d, \"edits_per_client\": %d, \
-        \"wall_ms\": %.1f, \"edits_per_sec\": %.0f, \"p50_ms\": %.3f, \
-        \"p99_ms\": %.3f},\n"
-       clients storm_m storm_wall edits_per_sec
-       (percentile storm_sorted 0.5)
-       (percentile storm_sorted 0.99));
-  let metrics =
-    metrics_json ~warm:(fun () ->
-        let c = serve_connect path in
-        let r = reply_ok "metrics load" (Client.load c ~spec:spec_text) in
-        let session = must_session "metrics load" r in
-        for i = 0 to 9 do
-          ignore (reply_ok "metrics edit" (Client.edit c ~session (toggle_edit i)))
-        done;
-        ignore (reply_ok "metrics close" (Client.close_session c ~session));
-        Client.close c)
-  in
-  Buffer.add_string buf (Printf.sprintf "  \"metrics\": %s\n}\n" metrics);
-  output_string oc (Buffer.contents buf);
-  close_out oc;
-  Printf.printf "wrote BENCH_serve.json\n"
-
-(* ------------------------------------------------------------------ *)
 (* propagation: per-mode output-model tightness table (BENCH_9.json)   *)
 
 module Prop = Event_model.Propagation
@@ -1454,23 +547,6 @@ let propagation_bench () =
   Printf.printf "(optimal pointwise <= every mode; strictly tighter than \
                  theta_tau on: %s)\n"
     (String.concat ", " strict_wins);
-  (* kernel-path timing of the same cases BENCH_1.json reports, so the
-     check gate can compare the two files from one machine *)
-  let kernel_cases =
-    [
-      "paper_flat_sem", Paper.spec (), Engine.Flat_sem;
-      "chain_16", Scenarios.Synthetic.chain ~stages:16 (), Engine.Hierarchical;
-    ]
-  in
-  let kernel =
-    List.map
-      (fun (name, spec, mode) ->
-        name, time_ms (fun () -> Engine.analyse ~mode ~incremental:false spec))
-      kernel_cases
-  in
-  List.iter
-    (fun (name, t) -> Printf.printf "kernel %-16s %8.3f ms\n" name t)
-    kernel;
   let oc = open_out "BENCH_9.json" in
   let buf = Buffer.create 4096 in
   Buffer.add_string buf
@@ -1510,29 +586,15 @@ let propagation_bench () =
     rows;
   Buffer.add_string buf "  ],\n";
   Buffer.add_string buf
-    (Printf.sprintf "  \"strict_win_systems\": [%s],\n"
+    (Printf.sprintf "  \"strict_win_systems\": [%s]\n}\n"
        (String.concat ", "
           (List.map (fun n -> Printf.sprintf "%S" n) strict_wins)));
-  Buffer.add_string buf "  \"kernel\": [\n";
-  List.iteri
-    (fun i (name, t) ->
-      Buffer.add_string buf
-        (Printf.sprintf "    {\"name\": %S, \"full_ms\": %.3f}%s\n" name t
-           (if i = List.length kernel - 1 then "" else ",")))
-    kernel;
-  let metrics =
-    metrics_json ~warm:(fun () ->
-        ignore
-          (Engine.analyse ~mode:Engine.Hierarchical
-             (forced_propagation Prop.Optimal (Paper.spec ()))))
-  in
-  Buffer.add_string buf (Printf.sprintf "  ],\n  \"metrics\": %s\n}\n" metrics);
   output_string oc (Buffer.contents buf);
   close_out oc;
   Printf.printf "wrote BENCH_9.json\n"
 
 (* ------------------------------------------------------------------ *)
-(* hybrid: rtc vs cpa vs mixed backend tightness/runtime (BENCH_10)    *)
+(* hybrid: rtc vs cpa vs mixed backend tightness (BENCH_10.json)      *)
 
 (* Force every resource onto one local-analysis backend; EDF resources
    stay on [Cpa] (no RTC service model for dynamic deadlines, and
@@ -1591,24 +653,18 @@ let hybrid_bench () =
           | Scheduling.Busy_window.Unbounded _ -> None ))
       r.Engine.outcomes
   in
-  Printf.printf "%-12s %8s %12s %10s %8s\n" "system" "backend" "sum R+"
-    "bounded" "ms";
+  Printf.printf "%-12s %8s %12s %10s\n" "system" "backend" "sum R+"
+    "bounded";
   let rows =
     List.map
       (fun (name, spec) ->
         let per_backend =
           List.map
             (fun (bname, force) ->
-              let spec = force spec in
-              let ms =
-                time_ms (fun () ->
-                    Engine.analyse ~mode:Engine.Hierarchical ~incremental:false
-                      spec)
-              in
               let r =
                 ok
                   (Engine.analyse ~mode:Engine.Hierarchical ~incremental:false
-                     spec)
+                     (force spec))
               in
               let hs = hi_map r in
               let bounded =
@@ -1620,9 +676,9 @@ let hybrid_bench () =
                     match h with Some h -> acc + h | None -> acc)
                   0 hs
               in
-              Printf.printf "%-12s %8s %12d %7d/%-2d %8.3f\n" name bname sum
-                bounded (List.length hs) ms;
-              bname, hs, bounded, sum, ms, Engine.status_name r.Engine.status)
+              Printf.printf "%-12s %8s %12d %7d/%-2d\n" name bname sum
+                bounded (List.length hs);
+              bname, hs, bounded, sum, Engine.status_name r.Engine.status)
             backends
         in
         name, per_backend)
@@ -1638,8 +694,8 @@ let hybrid_bench () =
   List.iter
     (fun (name, per_backend) ->
       let find b =
-        let _, hs, _, _, _, _ =
-          List.find (fun (n, _, _, _, _, _) -> n = b) per_backend
+        let _, hs, _, _, _ =
+          List.find (fun (n, _, _, _, _) -> n = b) per_backend
         in
         hs
       in
@@ -1667,8 +723,8 @@ let hybrid_bench () =
      recurrence — per-element worst-case bounds must be equal *)
   let paper_backends = List.assoc "paper" rows in
   let paper_hs b =
-    let _, hs, _, _, _, _ =
-      List.find (fun (n, _, _, _, _, _) -> n = b) paper_backends
+    let _, hs, _, _, _ =
+      List.find (fun (n, _, _, _, _) -> n = b) paper_backends
     in
     hs
   in
@@ -1723,40 +779,22 @@ let hybrid_bench () =
   end;
   Printf.printf
     "(pure rtc = pure cpa on paper; all backends dominate DES over 1e6)\n";
-  (* pure-CPA kernel timings of the BENCH_1 cases: the backend plumbing
-     must be pay-for-use, so check.sh can require these to sit within
-     tolerance of the perf run's numbers *)
-  let kernel_cases =
-    [
-      "paper_flat_sem", Paper.spec (), Engine.Flat_sem;
-      "chain_16", Scenarios.Synthetic.chain ~stages:16 (), Engine.Hierarchical;
-    ]
-  in
-  let kernel =
-    List.map
-      (fun (name, spec, mode) ->
-        name, time_ms (fun () -> Engine.analyse ~mode ~incremental:false spec))
-      kernel_cases
-  in
-  List.iter
-    (fun (name, t) -> Printf.printf "kernel %-16s %8.3f ms\n" name t)
-    kernel;
   let oc = open_out "BENCH_10.json" in
   let buf = Buffer.create 4096 in
   Buffer.add_string buf
-    "{\n  \"benchmark\": \"hybrid rtc/cpa backend tightness and runtime\",\n";
+    "{\n  \"benchmark\": \"hybrid rtc/cpa backend tightness\",\n";
   Buffer.add_string buf "  \"systems\": [\n";
   List.iteri
     (fun i (name, per_backend) ->
       Buffer.add_string buf (Printf.sprintf "    {\"name\": %S,\n" name);
       Buffer.add_string buf "     \"backends\": [\n";
       List.iteri
-        (fun j (bname, hs, bounded, sum, ms, status) ->
+        (fun j (bname, hs, bounded, sum, status) ->
           Buffer.add_string buf
             (Printf.sprintf
                "       {\"backend\": %S, \"sum_hi\": %d, \"bounded\": %d, \
-                \"elements\": %d, \"ms\": %.3f, \"status\": %S}%s\n"
-               bname sum bounded (List.length hs) ms status
+                \"elements\": %d, \"status\": %S}%s\n"
+               bname sum bounded (List.length hs) status
                (if j = List.length per_backend - 1 then "" else ",")))
         per_backend;
       Buffer.add_string buf
@@ -1770,25 +808,11 @@ let hybrid_bench () =
   Buffer.add_string buf
     (Printf.sprintf "  \"paper_pure_agreement\": %b,\n" pure_agreement);
   Buffer.add_string buf
-    (Printf.sprintf "  \"paper_dominance\": {%s},\n"
+    (Printf.sprintf "  \"paper_dominance\": {%s}\n}\n"
        (String.concat ", "
           (List.map
              (fun (b, sound) -> Printf.sprintf "%S: %b" b sound)
              dominance)));
-  Buffer.add_string buf "  \"kernel\": [\n";
-  List.iteri
-    (fun i (name, t) ->
-      Buffer.add_string buf
-        (Printf.sprintf "    {\"name\": %S, \"full_ms\": %.3f}%s\n" name t
-           (if i = List.length kernel - 1 then "" else ",")))
-    kernel;
-  let metrics =
-    metrics_json ~warm:(fun () ->
-        ignore
-          (Engine.analyse ~mode:Engine.Hierarchical
-             (forced_backend Spec.Rtc (Paper.spec ()))))
-  in
-  Buffer.add_string buf (Printf.sprintf "  ],\n  \"metrics\": %s\n}\n" metrics);
   output_string oc (Buffer.contents buf);
   close_out oc;
   Printf.printf "wrote BENCH_10.json\n"
@@ -1809,10 +833,6 @@ let experiments =
     "cross-framework", cross_framework;
     "robustness", robustness;
     "validate", validate;
-    "perf", perf;
-    "explore", explore_bench;
-    "scale", scale;
-    "serve", serve_bench;
     "propagation", propagation_bench;
     "hybrid", hybrid_bench;
   ]
@@ -1820,13 +840,10 @@ let experiments =
 let () =
   match Array.to_list Sys.argv with
   | [] | _ :: [] ->
-    (* everything except the timing benches, which are opt-in *)
+    (* everything except the two table writers, which are opt-in *)
     List.iter
       (fun (name, run) ->
-        if
-          name <> "perf" && name <> "explore" && name <> "scale"
-          && name <> "serve" && name <> "propagation" && name <> "hybrid"
-        then run ())
+        if name <> "propagation" && name <> "hybrid" then run ())
       experiments
   | _ :: names ->
     List.iter

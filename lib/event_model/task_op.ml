@@ -1,8 +1,8 @@
 module Time = Timebase.Time
 module Interval = Timebase.Interval
 
-(* Scalar reference: memoized recurrence (legacy path, kept for the
-   kernel agreement oracle and before/after benchmarks). *)
+(* Memoized recurrence: the construction for closure-backed inputs,
+   whose curves have no periodic tail to build a compact output from. *)
 let output_curves_scalar ~r_minus ~spread stream =
   let delta_min =
     Curve.make_rec (fun self n ->
@@ -158,22 +158,19 @@ let output ?name ~response stream =
   let spread = Interval.width response in
   let scalar () = output_curves_scalar ~r_minus ~spread stream in
   let delta_min, delta_plus =
-    if not !Kernels.enabled then scalar ()
-    else begin
-      let dmin =
-        compact_delta_min ~r:r_minus ~spread (Stream.delta_min_curve stream)
-      in
-      let dplus = compact_delta_plus ~spread (Stream.delta_plus_curve stream) in
-      match (dmin, dplus) with
-      | Some dm, Some dp -> (dm, dp)
-      | Some dm, None ->
-        let _, dp = scalar () in
-        (dm, dp)
-      | None, Some dp ->
-        let dm, _ = scalar () in
-        (dm, dp)
-      | None, None -> scalar ()
-    end
+    let dmin =
+      compact_delta_min ~r:r_minus ~spread (Stream.delta_min_curve stream)
+    in
+    let dplus = compact_delta_plus ~spread (Stream.delta_plus_curve stream) in
+    match (dmin, dplus) with
+    | Some dm, Some dp -> (dm, dp)
+    | Some dm, None ->
+      let _, dp = scalar () in
+      (dm, dp)
+    | None, Some dp ->
+      let dm, _ = scalar () in
+      (dm, dp)
+    | None, None -> scalar ()
   in
   let name =
     match name with

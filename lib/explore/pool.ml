@@ -25,10 +25,10 @@ let default_jobs () = Domain.recommended_domain_count ()
 
 (* Spawning more domains than the machine has cores makes OCaml 5
    throughput collapse (every minor collection is a stop-the-world
-   handshake across all domains), which is exactly the jobs=4 slowdown
-   BENCH_3 recorded on a 1-core box.  [jobs] is therefore a request;
-   the pool runs [min jobs cores] domains unless the caller explicitly
-   oversubscribes (tests exercising spawn paths, overhead benchmarks). *)
+   handshake across all domains): a 4-domain sweep on a 1-core machine
+   ran about twice as slow as a serial one.  [jobs] is therefore a
+   request; the pool runs [min jobs cores] domains unless the caller
+   explicitly oversubscribes (tests exercising spawn paths). *)
 let effective_jobs ?(oversubscribe = false) jobs =
   if oversubscribe then jobs
   else Stdlib.max 1 (Stdlib.min jobs (Domain.recommended_domain_count ()))

@@ -44,36 +44,27 @@ let busy_period ?(window_limit = Busy_window.default_window_limit) tasks =
   check_tasks tasks;
   let rt_tasks = List.map (fun t -> t.task) tasks in
   let failure = ref None in
-  let step =
-    if not !Event_model.Kernels.enabled then fun w ->
-      match Busy_window.interference ~tasks:rt_tasks ~window:w with
-      | Ok demand -> Stdlib.max 1 demand
-      | Error reason ->
-        failure := Some reason;
-        w
-    else begin
-      (* resumable kernel: fixpoint windows only grow *)
-      let demand = Busy_window.Demand.make rt_tasks in
-      fun w ->
-        match Busy_window.Demand.eval demand ~window:w with
-        | Ok d -> Stdlib.max 1 d
-        | Error i ->
-          failure :=
-            Some
-              (Printf.sprintf "unbounded arrivals of %s in window %d"
-                 (Busy_window.Demand.name demand i) w);
-          w
-    end
+  (* resumable kernel: fixpoint windows only grow *)
+  let demand = Busy_window.Demand.make rt_tasks in
+  let step w =
+    match Busy_window.Demand.eval demand ~window:w with
+    | Ok d -> Stdlib.max 1 d
+    | Error i ->
+      failure :=
+        Some
+          (Printf.sprintf "unbounded arrivals of %s in window %d"
+             (Busy_window.Demand.name demand i) w);
+      w
   in
   match Busy_window.fixpoint ~limit:window_limit ~init:1 step with
   | Some l when !failure = None -> Ok l
   | Some _ -> Error (Option.get !failure)
   | None -> Error "busy period diverges (overload)"
 
-(* Kernel variant of [demand_bound]: one SoA snapshot serves the whole
-   [dt = 1 .. l] scan; per-task windows [dt - deadline + 1] grow with
-   [dt], matching the resumable-hint contract. *)
-let demand_bound_kernel tasks =
+(* [demand_bound] for the schedulability scan: one SoA snapshot serves
+   the whole [dt = 1 .. l] scan; per-task windows [dt - deadline + 1]
+   grow with [dt], matching the resumable-hint contract. *)
+let demand_scan tasks =
   let arr = Array.of_list tasks in
   let demand = Busy_window.Demand.make (List.map (fun t -> t.task) tasks) in
   fun dt ->
@@ -102,10 +93,7 @@ let schedulable ?window_limit tasks =
     match busy_period ?window_limit tasks with
     | Error _ as e -> e
     | Ok l ->
-      let demand =
-        if !Event_model.Kernels.enabled then demand_bound_kernel tasks
-        else demand_bound tasks
-      in
+      let demand = demand_scan tasks in
       let rec scan dt =
         if dt > l then Ok ()
         else begin

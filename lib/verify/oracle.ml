@@ -256,38 +256,295 @@ let engine_agreement ?(mode = Engine.Hierarchical) spec =
     [ check ~name false ("incremental rejected: " ^ Guard.Error.to_string e) ]
 
 (* ------------------------------------------------------------------ *)
-(* oracle 2b: batched analysis kernels vs scalar legacy paths *)
+(* oracle 2b: analysis kernels vs naive references *)
 
-(* The batched kernels (range sweeps in OR-combination, compact task-op
-   construction, demand vectors in the busy-window analyses) are pure
-   optimisations: the whole analysis, run with kernels forced off and
-   on, must render byte-identical outcomes. *)
-let kernel_agreement ?(mode = Engine.Hierarchical) spec =
-  let module Kernels = Event_model.Kernels in
-  let name =
-    Printf.sprintf "engine[%s]:batched=scalar" (Engine.mode_name mode)
+(* Naive references for the CPA kernels, built on public interfaces
+   only: the OR convolution (eqs 3-4) as a direct scan over splits of
+   boxed curve values, the Theta_tau recurrence evaluated front to back,
+   and the busy-window fixpoints started cold at every activation over
+   [Busy_window.interference].  The product kernels (packed range
+   tables, compact periodic outputs, warm-started fixpoints over the
+   resumable [Demand] searches) must agree with them exactly. *)
+module Rt_task = Scheduling.Rt_task
+module Edf = Scheduling.Edf
+
+let reference_or_pair a b =
+  let dmin = Es.delta_min a and dmin' = Es.delta_min b in
+  let delta_min n =
+    let rec scan k best =
+      if k > n then best
+      else scan (k + 1) (Time.min best (Time.max (dmin k) (dmin' (n - k))))
+    in
+    scan 1 (Time.max (dmin 0) (dmin' n))
   in
-  match
-    ( Kernels.with_batched (fun () ->
-          Engine.analyse ~mode ~incremental:false spec),
-      Kernels.with_scalar (fun () ->
-          Engine.analyse ~mode ~incremental:false spec) )
-  with
-  | Ok batched, Ok scalar ->
-    let a = render_result batched and b = render_result scalar in
-    if String.equal a b then [ check ~name true "byte-identical outcomes" ]
-    else
-      [ check ~name false (Printf.sprintf "batched:\n%s\nscalar:\n%s" a b) ]
-  | Error a, Error b ->
-    let a = Guard.Error.to_string a and b = Guard.Error.to_string b in
+  (* eq 4 over g k = delta_plus (k + 2), splits of the budget n - 2 *)
+  let g s k = Es.delta_plus s (k + 2) in
+  let delta_plus n =
+    let budget = n - 2 in
+    let rec scan k best =
+      if k > budget then best
+      else scan (k + 1) (Time.max best (Time.min (g a k) (g b (budget - k))))
+    in
+    scan 1 (Time.min (g a 0) (g b budget))
+  in
+  Es.make ~name:"reference-or" ~delta_min ~delta_plus
+
+let reference_or = function
+  | [] -> invalid_arg "Oracle.reference_or: empty stream list"
+  | first :: rest -> List.fold_left reference_or_pair first rest
+
+let reference_output ~response input =
+  let r_minus = Time.of_int (Interval.lo response)
+  and spread = Time.of_int (Interval.width response) in
+  let delta_min n =
+    let rec go k prev =
+      if k > n then prev
+      else
+        go (k + 1)
+          (Time.max
+             (Time.sub_clamped (Es.delta_min input k) spread)
+             (Time.add prev r_minus))
+    in
+    go 2 Time.zero
+  in
+  let delta_plus n = Time.add (Es.delta_plus input n) spread in
+  Es.make ~name:"reference-output" ~delta_min ~delta_plus
+
+(* least fixed point of w = own + interference (w + shift), from [own] *)
+let cold_fixpoint ~tasks ~own ~shift =
+  let diverged = ref false in
+  let step w =
+    match Busy.interference ~tasks ~window:(w + shift) with
+    | Ok demand -> own + demand
+    | Error _ ->
+      diverged := true;
+      w
+  in
+  match Busy.fixpoint ~limit:Busy.default_window_limit ~init:own step with
+  | Some w when not !diverged -> Some w
+  | Some _ | None -> None
+
+let reference_spp ?(blocking = 0) ~task ~others () =
+  let hp = Busy.higher_priority ~than:task others in
+  let c_plus = Interval.hi task.Rt_task.cet in
+  Busy.max_response
+    ~best_case:(Interval.lo task.Rt_task.cet)
+    ~arrival:(Es.delta_min task.Rt_task.activation)
+    ~finish:(fun q ->
+      cold_fixpoint ~tasks:hp ~own:(blocking + (q * c_plus)) ~shift:0)
+    ()
+
+let reference_spnp ~task ~others () =
+  let hp = Busy.higher_priority ~than:task others in
+  let c_plus = Interval.hi task.Rt_task.cet in
+  let blocking =
+    List.fold_left
+      (fun acc (t : Rt_task.t) -> Stdlib.max acc (Interval.hi t.cet))
+      0
+      (Busy.lower_priority ~than:task others)
+  in
+  Busy.max_response
+    ~best_case:(Interval.lo task.Rt_task.cet)
+    ~arrival:(Es.delta_min task.Rt_task.activation)
+    ~finish:(fun q ->
+      cold_fixpoint ~tasks:hp ~own:(blocking + ((q - 1) * c_plus)) ~shift:1
+      |> Option.map (fun start -> start + c_plus))
+    ()
+
+let reference_edf_busy_period (tasks : Edf.task list) =
+  let tasks = List.map (fun (t : Edf.task) -> t.Edf.task) tasks in
+  let failure = ref None in
+  let step w =
+    match Busy.interference ~tasks ~window:w with
+    | Ok demand -> Stdlib.max 1 demand
+    | Error reason ->
+      failure := Some reason;
+      w
+  in
+  match Busy.fixpoint ~limit:Busy.default_window_limit ~init:1 step with
+  | Some l when !failure = None -> Ok l
+  | Some _ -> Error (Option.get !failure)
+  | None -> Error "busy period diverges (overload)"
+
+type kernels = {
+  or_combine : Es.t list -> Es.t;
+  output : response:Interval.t -> Es.t -> Es.t;
+  spp : task:Rt_task.t -> others:Rt_task.t list -> Busy.outcome;
+  spnp : task:Rt_task.t -> others:Rt_task.t list -> Busy.outcome;
+  edf_busy_period : Edf.task list -> (int, string) result;
+}
+
+let product_kernels =
+  {
+    or_combine = (fun streams -> Event_model.Combine.or_combine streams);
+    output = (fun ~response s -> Event_model.Task_op.output ~response s);
+    spp = (fun ~task ~others -> Scheduling.Spp.response_time ~task ~others ());
+    spnp =
+      (fun ~task ~others -> Scheduling.Spnp.response_time ~task ~others ());
+    edf_busy_period = (fun tasks -> Edf.busy_period tasks);
+  }
+
+(* Dense prefix plus deep probes past typical compact prefixes; the OR
+   reference costs O(n) per probe and level, so it stops at 257. *)
+let kernel_ns = List.init 41 Fun.id @ [ 64; 100; 257; 1000 ]
+
+let or_ns = List.filter (fun n -> n <= 257) kernel_ns
+
+let stream_mismatch ~ns kernel reference =
+  List.find_map
+    (fun n ->
+      let differ role f =
+        let k = f kernel n and r = f reference n in
+        if Time.equal k r then None
+        else
+          Some
+            (Printf.sprintf "%s %d: kernel %s, reference %s" role n
+               (Time.to_string k) (Time.to_string r))
+      in
+      match differ "delta_min" Es.delta_min with
+      | Some _ as m -> m
+      | None -> differ "delta_plus" Es.delta_plus)
+    ns
+
+let outcome_mismatch kernel reference =
+  match Busy.response_interval kernel, Busy.response_interval reference with
+  | Some k, Some r when Interval.equal k r -> None
+  | None, None -> None
+  | _ ->
+    Some
+      (Format.asprintf "kernel %a, reference %a" Busy.pp_outcome kernel
+         Busy.pp_outcome reference)
+
+let rec or_inputs acc = function
+  | Spec.Or_of acts -> List.fold_left or_inputs (acts :: acc) acts
+  | Spec.And_of acts -> List.fold_left or_inputs acc acts
+  | Spec.From_source _ | Spec.From_output _ | Spec.From_signal _
+  | Spec.From_frame _ ->
+    acc
+
+let rec adjacent_pairs = function
+  | a :: (b :: _ as rest) -> [ a; b ] :: adjacent_pairs rest
+  | [] | [ _ ] -> []
+
+(* Every kernel re-run on the streams of the converged result: the OR of
+   each [Or_of] activation and of adjacent source pairs, the output
+   model of every bounded task, the SPP/SPNP response of every element
+   on a static-priority resource, and the processor busy period of every
+   SPP/SPNP/EDF task set (the busy period ignores deadlines, so
+   deadline-free sets are checked with deadline 1). *)
+let kernel_agreement ?(kernels = product_kernels) (r : Engine.result) =
+  let tag = Printf.sprintf "kernel[%s]" (Engine.mode_name r.Engine.mode) in
+  match r.Engine.status with
+  | Engine.Degraded _ -> [ check ~name:tag true "skipped: degraded result" ]
+  | Engine.Converged | Engine.Overloaded ->
+    let spec = r.Engine.spec in
+    let activations =
+      List.map (fun (k : Spec.task) -> k.activation) spec.Spec.tasks
+      @ List.concat_map
+          (fun (f : Spec.frame) ->
+            List.map (fun (s : Spec.signal_binding) -> s.origin) f.signals)
+          spec.Spec.frames
+    in
+    let or_check =
+      forall ~name:(tag ^ ":or")
+        (List.rev_map (List.map r.Engine.resolve)
+           (List.fold_left or_inputs [] activations)
+        @ adjacent_pairs (List.map snd spec.Spec.sources))
+        (fun inputs ->
+          stream_mismatch ~ns:or_ns
+            (kernels.or_combine inputs)
+            (reference_or inputs)
+          |> Option.map (fun m ->
+                 Printf.sprintf "or(%s): %s"
+                   (String.concat "," (List.map Es.name inputs))
+                   m))
+    in
+    let output_check =
+      forall ~name:(tag ^ ":theta_tau")
+        (List.filter_map
+           (fun (k : Spec.task) ->
+             Engine.response r k.task_name
+             |> Option.map (fun response -> k, response))
+           spec.Spec.tasks)
+        (fun ((k : Spec.task), response) ->
+          let input = r.Engine.resolve k.activation in
+          stream_mismatch ~ns:kernel_ns
+            (kernels.output ~response input)
+            (reference_output ~response input)
+          |> Option.map (fun m -> k.task_name ^ ": " ^ m))
+    in
+    let task_set (res : Spec.resource) =
+      List.filter_map
+        (fun (k : Spec.task) ->
+          if String.equal k.resource res.res_name then
+            Some
+              ( Rt_task.make ~name:k.task_name ~cet:k.cet ~priority:k.priority
+                  ~activation:(r.Engine.resolve k.activation),
+                Option.value k.deadline ~default:1 )
+          else None)
+        spec.Spec.tasks
+      @ List.filter_map
+          (fun (f : Spec.frame) ->
+            if String.equal f.bus res.res_name then
+              let frame = r.Engine.pre_bus_hierarchy f.frame_name in
+              Some
+                ( Rt_task.make ~name:f.frame_name ~cet:f.tx_time
+                    ~priority:f.frame_priority
+                    ~activation:(Hem.Model.outer frame),
+                  1 )
+            else None)
+          spec.Spec.frames
+    in
+    let sets schedulers =
+      List.filter_map
+        (fun (res : Spec.resource) ->
+          if List.mem res.scheduler schedulers then
+            Some (res.res_name, task_set res)
+          else None)
+        spec.Spec.resources
+    in
+    let response_check name scheduler kernel reference =
+      forall ~name:(tag ^ ":" ^ name)
+        (List.concat_map
+           (fun (_, set) ->
+             let tasks = List.map fst set in
+             List.map
+               (fun task ->
+                 task, List.filter (fun t -> t != task) tasks)
+               tasks)
+           (sets [ scheduler ]))
+        (fun (task, others) ->
+          outcome_mismatch (kernel ~task ~others) (reference ~task ~others ())
+          |> Option.map (fun m -> task.Rt_task.name ^ ": " ^ m))
+    in
+    let edf_check =
+      forall ~name:(tag ^ ":edf")
+        (sets [ Spec.Spp; Spec.Spnp; Spec.Edf ])
+        (fun (res, set) ->
+          let tasks =
+            List.map (fun (task, deadline) -> { Edf.task; deadline }) set
+          in
+          let kernel = kernels.edf_busy_period tasks
+          and reference = reference_edf_busy_period tasks in
+          match kernel, reference with
+          | Ok a, Ok b when a = b -> None
+          | Error _, Error _ -> None
+          | _ ->
+            let show = function
+              | Ok l -> string_of_int l
+              | Error e -> "error: " ^ e
+            in
+            Some
+              (Printf.sprintf "%s: busy period kernel %s, reference %s" res
+                 (show kernel) (show reference)))
+    in
     [
-      check ~name (String.equal a b)
-        (Printf.sprintf "both rejected: %s / %s" a b);
+      or_check;
+      output_check;
+      response_check "spp" Spec.Spp kernels.spp (reference_spp ?blocking:None);
+      response_check "spnp" Spec.Spnp kernels.spnp reference_spnp;
+      edf_check;
     ]
-  | Ok _, Error e ->
-    [ check ~name false ("scalar rejected: " ^ Guard.Error.to_string e) ]
-  | Error e, Ok _ ->
-    [ check ~name false ("batched rejected: " ^ Guard.Error.to_string e) ]
 
 (* ------------------------------------------------------------------ *)
 (* oracle 3: hierarchical vs flat-SEM baseline *)
@@ -942,19 +1199,14 @@ let verify_spec ?(label = "system") ?(selfcheck = true) ?(seed = 42)
               (fun mode -> engine_agreement ~mode spec)
               [ Engine.Hierarchical; Engine.Flat_stream; Engine.Flat_sem ]
           in
-          let kernels =
-            List.concat_map
-              (fun mode -> kernel_agreement ~mode spec)
-              [ Engine.Hierarchical; Engine.Flat_sem ]
-          in
           let batches = batch_agreement spec in
           let tightness =
             match Engine.analyse ~mode:Engine.Flat_sem spec with
             | Error e ->
               [ check ~name:"analyse[flat_sem]" false (Guard.Error.to_string e) ]
             | Ok flat ->
-              hierarchy_tightness hem flat
-              ::
+              (hierarchy_tightness hem flat :: kernel_agreement flat)
+              @
               (match generators with
                | None -> []
                | Some generators ->
@@ -972,7 +1224,7 @@ let verify_spec ?(label = "system") ?(selfcheck = true) ?(seed = 42)
                 (Engine.status_name hem.Engine.status)
                 hem.Engine.iterations)
           :: incremental)
-          @ kernels @ batches @ tightness @ propagation @ hybrid
+          @ kernel_agreement hem @ batches @ tightness @ propagation @ hybrid
       in
       { label; checks; violations = List.rev !violations })
 

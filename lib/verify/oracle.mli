@@ -15,9 +15,12 @@
     - {b engine agreement}: the incremental fixed-point engine vs a
       from-scratch recomputation — outcomes must be byte-identical,
       including iteration counts;
-    - {b kernel agreement}: the whole analysis with the batched kernels
-      forced off vs on ([Event_model.Kernels]) — byte-identical rendered
-      outcomes;
+    - {b kernel agreement}: the analysis kernels — OR-combination
+      (eqs 3-4), the Theta_tau output model, SPP and SPNP response times
+      and the EDF busy period — re-run on the streams of a converged
+      result and compared with naive references built on public
+      interfaces only ({!reference_or}, {!reference_output},
+      {!reference_spp}, {!reference_spnp}, {!reference_edf_busy_period});
     - {b hierarchy tightness}: hierarchical analysis response bounds
       never exceed the flat-SEM baseline's;
     - {b simulation dominance}: analytic response bounds and arrival
@@ -83,12 +86,72 @@ val engine_agreement :
 (** [analyse ~incremental:true] vs [analyse ~incremental:false] on the
     given system ([mode] defaults to [Hierarchical]). *)
 
+val reference_or : Event_model.Stream.t list -> Event_model.Stream.t
+(** OR-combination (eqs 3-4) as a left fold of pairwise convolutions,
+    each a direct scan over all splits of boxed curve values.
+    @raise Invalid_argument on the empty list. *)
+
+val reference_output :
+  response:Timebase.Interval.t -> Event_model.Stream.t -> Event_model.Stream.t
+(** The Theta_tau output model, [delta_min'] evaluated front to back
+    from [n = 2] for every probe and [delta_plus' = delta_plus + spread]. *)
+
+val reference_spp :
+  ?blocking:int ->
+  task:Scheduling.Rt_task.t ->
+  others:Scheduling.Rt_task.t list ->
+  unit ->
+  Scheduling.Busy_window.outcome
+(** SPP response time with every activation's completion fixpoint
+    started cold over [Busy_window.interference] (no warm start, no
+    resumable demand kernel), default window limit. *)
+
+val reference_spnp :
+  task:Scheduling.Rt_task.t ->
+  others:Scheduling.Rt_task.t list ->
+  unit ->
+  Scheduling.Busy_window.outcome
+(** SPNP response time, start-time fixpoints started cold like
+    {!reference_spp}. *)
+
+val reference_edf_busy_period :
+  Scheduling.Edf.task list -> (int, string) result
+(** EDF processor busy period: least fixed point of
+    [w = max 1 (interference w)] over [Busy_window.interference]. *)
+
+(** The product kernels {!kernel_agreement} checks; a field can be
+    replaced to seed a defect. *)
+type kernels = {
+  or_combine : Event_model.Stream.t list -> Event_model.Stream.t;
+  output :
+    response:Timebase.Interval.t -> Event_model.Stream.t -> Event_model.Stream.t;
+  spp :
+    task:Scheduling.Rt_task.t ->
+    others:Scheduling.Rt_task.t list ->
+    Scheduling.Busy_window.outcome;
+  spnp :
+    task:Scheduling.Rt_task.t ->
+    others:Scheduling.Rt_task.t list ->
+    Scheduling.Busy_window.outcome;
+  edf_busy_period :
+    Scheduling.Edf.task list -> (int, string) result;
+}
+
+val product_kernels : kernels
+(** [Combine.or_combine], [Task_op.output], [Spp.response_time],
+    [Spnp.response_time] and [Edf.busy_period]. *)
+
 val kernel_agreement :
-  ?mode:Cpa_system.Engine.mode -> Cpa_system.Spec.t -> check list
-(** The analysis with batched kernels enabled vs disabled
-    ([Event_model.Kernels.with_batched] / [with_scalar]), both from
-    scratch: rendered outcomes must be byte-identical ([mode] defaults
-    to [Hierarchical]). *)
+  ?kernels:kernels -> Cpa_system.Engine.result -> check list
+(** Re-runs each kernel (default {!product_kernels}) on the streams of
+    the result, resolved through [result.resolve], and compares it with
+    its reference: the OR of every [Or_of] activation and of adjacent
+    source pairs (distances on a dense prefix and deep probes), the
+    output model of every bounded task, the SPP/SPNP response of every
+    element of a static-priority resource, and the busy period of every
+    SPP/SPNP/EDF task set.  One check per kernel, tagged
+    ["kernel[<mode>]:or|theta_tau|spp|spnp|edf"]; a degraded result
+    yields a single skipped check. *)
 
 val hierarchy_tightness :
   Cpa_system.Engine.result -> Cpa_system.Engine.result -> check
@@ -191,7 +254,8 @@ val verify_spec :
 (** Runs the hierarchical analysis (with the {!Stream} sanitizer wired
     into the engine's [~selfcheck] hook and pack-degradation warnings
     captured, unless [selfcheck:false]), audits every frame hierarchy,
-    then runs the engine, kernel, batch, tightness and — when
+    then runs the engine, batch and tightness oracles, the kernel
+    oracle on the hierarchical and flat-SEM results, and — when
     [generators] are given — simulation oracles.  [seed] and [horizon]
     configure the simulation. *)
 

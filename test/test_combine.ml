@@ -152,6 +152,42 @@ let prop_or_matches_brute =
       && Time.equal (Stream.delta_plus combined n)
            (brute_or_delta_plus streams n))
 
+(* The packed-table convolution behind [or_combine] against the
+   verification layer's split-scan reference, over compact, sporadic
+   (infinite delta_plus) and closure-backed (an OR result) inputs, on a
+   dense prefix plus deep probes. *)
+let arb_or_input =
+  let open QCheck in
+  let bursty =
+    map
+      (fun (p, b, d) ->
+        let burst = 1 + (b mod 4) in
+        Stream.periodic_burst ~name:"b" ~period:(Stdlib.max p (burst * d))
+          ~burst ~d_min:d)
+      (triple (int_range 10 300) (int_range 0 10) (int_range 1 15))
+  in
+  let sporadic =
+    map (fun d -> Stream.sporadic ~name:"sp" ~d_min:d) (int_range 1 200)
+  in
+  let closure =
+    map (fun (a, b) -> Combine.or_combine [ a; b ]) (pair arb_stream arb_stream)
+  in
+  oneof [ arb_stream; bursty; sporadic; closure ]
+
+let or_reference_ns = List.init 65 Fun.id @ [ 100; 257; 1000 ]
+
+let prop_or_pair_matches_reference =
+  QCheck.Test.make ~name:"or_pair equals the split-scan reference" ~count:100
+    (QCheck.pair arb_or_input arb_or_input) (fun (a, b) ->
+      let kernel = Combine.or_combine [ a; b ] in
+      let reference = Verify.Oracle.reference_or [ a; b ] in
+      List.for_all
+        (fun n ->
+          Time.equal (Stream.delta_min kernel n) (Stream.delta_min reference n)
+          && Time.equal (Stream.delta_plus kernel n)
+               (Stream.delta_plus reference n))
+        or_reference_ns)
+
 let prop_or_commutative =
   QCheck.Test.make ~name:"or_combine commutative" ~count:60
     (QCheck.pair (QCheck.pair arb_stream arb_stream) (QCheck.int_range 2 10))
@@ -265,6 +301,7 @@ let () =
         List.map QCheck_alcotest.to_alcotest
           [
             prop_or_matches_brute;
+            prop_or_pair_matches_reference;
             prop_or_commutative;
             prop_or_associative;
             prop_or_eta_additive;

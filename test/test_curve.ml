@@ -316,6 +316,28 @@ let prop_count_lt_packed_hint =
           got = expected)
         limits)
 
+(* The packed fast paths on a periodic tail are allocation-free: bytes
+   allocated per call, over many calls after a warmup, stay at most 1
+   (the slack absorbs the two boxed floats of the measurement itself). *)
+let bytes_per_call f =
+  let iters = 100_000 in
+  ignore (Sys.opaque_identity (f ()));
+  let before = Gc.allocated_bytes () in
+  for _ = 1 to iters do
+    ignore (Sys.opaque_identity (f ()))
+  done;
+  (Gc.allocated_bytes () -. before) /. float_of_int iters
+
+let test_packed_tail_allocation_free () =
+  let c = periodic_curve_of (250, 400, 1) in
+  let check what bytes =
+    if bytes > 1.0 then
+      Alcotest.failf "%s allocates %.2f bytes per call" what bytes
+  in
+  check "eval_packed" (bytes_per_call (fun () -> Curve.eval_packed c 1013));
+  check "count_lt_packed"
+    (bytes_per_call (fun () -> Curve.count_lt_packed c ~lo:1 ~limit:100_000))
+
 let () =
   Alcotest.run "curve"
     [
@@ -346,6 +368,8 @@ let () =
             test_periodic_search_beyond_cap;
           Alcotest.test_case "validation" `Quick test_periodic_validation;
           Alcotest.test_case "stats attribution" `Quick test_stats_attribution;
+          Alcotest.test_case "packed tail allocation-free" `Quick
+            test_packed_tail_allocation_free;
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest

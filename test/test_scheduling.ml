@@ -324,6 +324,55 @@ let prop_tdma_longer_slot_helps =
       in
       r (s + 1) <= r s)
 
+(* The warm-started fixpoints over the resumable demand kernel against
+   the verification layer's cold-started references over
+   [Busy_window.interference], for every task of random jittered task
+   sets (utilisation at most 1/2, so busy periods stay short while
+   jitter still packs several activations into one). *)
+let arb_task_set =
+  let open QCheck in
+  let arb_task =
+    quad (int_range 1 20) (int_range 0 19) (int_range 1 4)
+      (pair (int_range 2 8) (int_range 0 200))
+  in
+  map
+    (fun specs ->
+      let n = List.length specs in
+      List.mapi
+        (fun i (cet, lo, priority, (stretch, jitter_pct)) ->
+          let period = stretch * cet * n in
+          task
+            ~name:(Printf.sprintf "t%d" i)
+            ~cet ~lo:(1 + (lo mod cet)) ~priority ~period
+            ~jitter:(period * jitter_pct / 100)
+            ())
+        specs)
+    (list_of_size (Gen.int_range 1 4) arb_task)
+
+let matches_reference kernel reference tasks =
+  List.for_all
+    (fun task ->
+      let others = List.filter (fun t -> t != task) tasks in
+      Alcotest.equal outcome (kernel ~task ~others) (reference ~task ~others))
+    tasks
+
+let prop_spp_matches_reference =
+  QCheck.Test.make ~name:"SPP: kernel = cold-start reference" ~count:150
+    (QCheck.pair arb_task_set (QCheck.int_range 0 10))
+    (fun (tasks, blocking) ->
+      matches_reference
+        (fun ~task ~others -> Spp.response_time ~blocking ~task ~others ())
+        (fun ~task ~others ->
+          Verify.Oracle.reference_spp ~blocking ~task ~others ())
+        tasks)
+
+let prop_spnp_matches_reference =
+  QCheck.Test.make ~name:"SPNP: kernel = cold-start reference" ~count:150
+    arb_task_set
+    (matches_reference
+       (fun ~task ~others -> Spnp.response_time ~task ~others ())
+       (fun ~task ~others -> Verify.Oracle.reference_spnp ~task ~others ()))
+
 let () =
   Alcotest.run "scheduling"
     [
@@ -373,6 +422,8 @@ let () =
           [
             prop_spp_hp_insensitive_to_lp;
             prop_spnp_blocking_monotone;
+            prop_spp_matches_reference;
+            prop_spnp_matches_reference;
             prop_tdma_longer_slot_helps;
           ] );
     ]

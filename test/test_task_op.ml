@@ -144,20 +144,18 @@ let arb_stream_mixed =
 
 let deep_ns = [ 1; 2; 3; 4; 5; 7; 11; 16; 33; 64; 100; 257; 1000; 4001 ]
 
+(* the scalar recurrence is the verification layer's Theta_tau
+   reference, evaluated front to back for every probe *)
 let prop_compact_matches_scalar =
   QCheck.Test.make ~name:"kernel output = scalar output" ~count:150
     (QCheck.pair arb_stream_mixed arb_response) (fun (s, r) ->
-      let batched =
-        Event_model.Kernels.with_batched (fun () -> Task_op.output ~response:r s)
-      in
-      let scalar =
-        Event_model.Kernels.with_scalar (fun () -> Task_op.output ~response:r s)
-      in
+      let kernel = Task_op.output ~response:r s in
+      let reference = Verify.Oracle.reference_output ~response:r s in
       List.for_all
         (fun n ->
-          Time.equal (Stream.delta_min batched n) (Stream.delta_min scalar n)
-          && Time.equal (Stream.delta_plus batched n)
-               (Stream.delta_plus scalar n))
+          Time.equal (Stream.delta_min kernel n) (Stream.delta_min reference n)
+          && Time.equal (Stream.delta_plus kernel n)
+               (Stream.delta_plus reference n))
         deep_ns)
 
 (* Theta_tau conservatism audit (differential): the compact kernel path
@@ -169,16 +167,7 @@ let prop_compact_matches_scalar =
    swept ~900 adversarial parameter combinations without divergence;
    these pin its representatives. *)
 let naive_theta ~response s n =
-  let r_minus = Interval.lo response and spread = Interval.width response in
-  let rec go k prev =
-    if k > n then prev
-    else
-      let direct =
-        Time.sub_clamped (Stream.delta_min s k) (Time.of_int spread)
-      in
-      go (k + 1) (Time.max direct (Time.add prev (Time.of_int r_minus)))
-  in
-  if n < 2 then Time.zero else go 2 Time.zero
+  Stream.delta_min (Verify.Oracle.reference_output ~response s) n
 
 let audit_ns = [ 2; 3; 5; 17; 100; 1000; 4001; 30000 ]
 
@@ -228,10 +217,7 @@ let test_compact_backend_used () =
   (* on a plain jittered input the kernel path must actually produce a
      compact (periodic-tail) output curve, not fall back to closures *)
   let input = Stream.periodic_jitter ~name:"in" ~period:250 ~jitter:600 () in
-  let out =
-    Event_model.Kernels.with_batched (fun () ->
-      Task_op.output ~response:(Interval.make ~lo:5 ~hi:30) input)
-  in
+  let out = Task_op.output ~response:(Interval.make ~lo:5 ~hi:30) input in
   Alcotest.(check bool) "delta_min compact" true
     (Option.is_some
        (Event_model.Curve.periodic_tail (Stream.delta_min_curve out)));

@@ -235,6 +235,66 @@ let test_negative_control () =
   Alcotest.(check int) "no violations collected when off" 0
     (List.length off.Oracle.violations)
 
+(* Seeded kernel defects: each product kernel replaced by a wrong one
+   must fail exactly its own check on the paper system's converged
+   models, and the unmodified kernels must pass every check. *)
+let test_kernel_oracle_flags_defects () =
+  let module Busy = Scheduling.Busy_window in
+  let module Interval = Timebase.Interval in
+  let hem =
+    match Cpa_system.Engine.analyse (Scenarios.Paper_system.spec ()) with
+    | Ok r -> r
+    | Error e -> Alcotest.fail (Guard.Error.to_string e)
+  in
+  check_all_ok ~what:"product kernels" (Oracle.kernel_agreement hem);
+  let k = Oracle.product_kernels in
+  (* one tick later at a single deep index, as an off-by-one in a tail
+     or prefix computation would be *)
+  let late_at n s =
+    Stream.make ~name:"late"
+      ~delta_min:(fun i ->
+        let d = Stream.delta_min s i in
+        if i = n then Time.add d (Time.of_int 1) else d)
+      ~delta_plus:(Stream.delta_plus s)
+  in
+  let widened = function
+    | Busy.Bounded i ->
+      Busy.Bounded (Interval.make ~lo:(Interval.lo i) ~hi:(Interval.hi i + 1))
+    | Busy.Unbounded _ as u -> u
+  in
+  let seeded =
+    [
+      "or", { k with or_combine = (fun ss -> late_at 257 (k.or_combine ss)) };
+      ( "theta_tau",
+        {
+          k with
+          output = (fun ~response s -> late_at 1000 (k.output ~response s));
+        } );
+      "spp", { k with spp = (fun ~task ~others -> widened (k.spp ~task ~others)) };
+      ( "spnp",
+        { k with spnp = (fun ~task ~others -> widened (k.spnp ~task ~others)) }
+      );
+      ( "edf",
+        {
+          k with
+          edf_busy_period = (fun ts -> Result.map succ (k.edf_busy_period ts));
+        } );
+    ]
+  in
+  List.iter
+    (fun (kernel, kernels) ->
+      let failed =
+        List.filter_map
+          (fun (c : Oracle.check) ->
+            if c.Oracle.ok then None else Some c.Oracle.name)
+          (Oracle.kernel_agreement ~kernels hem)
+      in
+      Alcotest.(check (list string))
+        (kernel ^ " defect flagged by its own check only")
+        [ "kernel[hierarchical]:" ^ kernel ]
+        failed)
+    seeded
+
 (* ------------------------------------------------------------------ *)
 (* fuzz harness *)
 
@@ -305,6 +365,8 @@ let () =
           Alcotest.test_case "verify_spec (paper)" `Slow test_verify_spec_paper;
           Alcotest.test_case "cache agreement" `Slow test_cache_agreement;
           Alcotest.test_case "negative control" `Quick test_negative_control;
+          Alcotest.test_case "kernel oracle flags seeded defects" `Quick
+            test_kernel_oracle_flags_defects;
         ] );
       ( "fuzz",
         [
