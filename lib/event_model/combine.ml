@@ -4,81 +4,80 @@ module Time = Timebase.Time
    max over parts) convolution of the delta_min curves; equation (4),
    rewritten over g_i(k) = delta_plus_i (k + 2), is a (max, min)
    convolution of the g curves.  Both are associative, so the n-ary
-   combination is a left fold over pairs. *)
+   combination is a left fold over pairs.
 
-(* The convolution at index [n] scans every split [k + (n - k)], so
-   evaluating the combined curve up to a horizon [N] through per-probe
-   memo lookups would cost O(N^2) underlying curve probes.  Instead each
-   input curve is swept once into a growable packed value table
-   (SoA, one [Curve.eval_range_into] per extension) and the scan runs on
-   int arrays: O(N) underlying probes total, no allocation per split. *)
+   For non-decreasing inputs both are order statistics of the two input
+   sequences merged: eq. (3) at [n] is the n-th smallest of
+   delta_min_a (1..) and delta_min_b (1..) together (the n smallest form
+   a prefix pair a(1..k), b(1..n-k) whose maximum the split k attains),
+   and eq. (4) at [n] is the (n-1)-th smallest of g_a (0..) and g_b (0..)
+   by the same argument.  So each pair keeps a two-pointer merge over
+   grow-on-demand packed prefix tables (one [Curve.eval_range_into] per
+   extension), extended only as far as a probe asks: amortised O(1) per
+   index, with the inputs probed no deeper than [n]. *)
 
 let rec next_pow2 k n = if k >= n then k else next_pow2 (k * 2) n
 
-type table = {
-  curve : Curve.t;
-  offset : int;  (* table index i holds the value at curve index i + offset *)
-  mutable buf : int array;
-  mutable filled : int;  (* indices 0 .. filled - 1 are valid *)
-}
-
-let table curve ~offset = { curve; offset; buf = [||]; filled = 0 }
-
-(* make indices 0 .. n valid *)
-let ensure t n =
-  if n >= t.filled then begin
-    let need = n + 1 in
-    if need > Array.length t.buf then begin
-      let grown = Array.make (next_pow2 64 need) 0 in
-      Array.blit t.buf 0 grown 0 t.filled;
-      t.buf <- grown
-    end;
-    Curve.eval_range_into t.curve ~n0:(t.filled + t.offset)
-      ~len:(need - t.filled) ~dst:t.buf ~pos:t.filled;
-    t.filled <- need
+let grow buf filled need =
+  if need <= Array.length buf then buf
+  else begin
+    let grown = Array.make (next_pow2 64 need) 0 in
+    Array.blit buf 0 grown 0 filled;
+    grown
   end
 
+type merge = {
+  ca : Curve.t;
+  cb : Curve.t;
+  offset : int;  (* table index i holds the value at curve index i + offset *)
+  mutable va : int array;
+  mutable vb : int array;
+  mutable filled : int;  (* va, vb indices 0 .. filled - 1 are valid *)
+  mutable out : int array;  (* merged values in ascending order *)
+  mutable len : int;  (* out indices 0 .. len - 1 are valid *)
+  mutable ia : int;  (* va.(0 .. ia - 1) are merged, vb.(0 .. len - ia - 1) *)
+}
+
+let merge ca cb ~offset =
+  { ca; cb; offset; va = [||]; vb = [||]; filled = 0; out = [||]; len = 0;
+    ia = 0 }
+
+(* The [p]-th smallest merged value (0-based).  Both heads stay <= p
+   while the merge fills out.(len .. p).  Packed comparisons agree with
+   Time comparisons (Inf = max_int dominates). *)
+let nth m p =
+  if p >= m.len then begin
+    if p >= m.filled then begin
+      let n0 = m.filled + m.offset and len = p + 1 - m.filled in
+      m.va <- grow m.va m.filled (p + 1);
+      m.vb <- grow m.vb m.filled (p + 1);
+      Curve.eval_range_into m.ca ~n0 ~len ~dst:m.va ~pos:m.filled;
+      Curve.eval_range_into m.cb ~n0 ~len ~dst:m.vb ~pos:m.filled;
+      m.filled <- p + 1
+    end;
+    m.out <- grow m.out m.len (p + 1);
+    let va = m.va and vb = m.vb and out = m.out and ia = ref m.ia in
+    for q = m.len to p do
+      let x = va.(!ia) and y = vb.(q - !ia) in
+      if x <= y then begin
+        out.(q) <- x;
+        incr ia
+      end
+      else out.(q) <- y
+    done;
+    m.ia <- !ia;
+    m.len <- p + 1
+  end;
+  let v = m.out.(p) in
+  if v = Curve.packed_inf then Time.Inf else Time.of_int v
+
 let or_pair a b =
-  let ta = table (Stream.delta_min_curve a) ~offset:0
-  and tb = table (Stream.delta_min_curve b) ~offset:0 in
-  let delta_min n =
-    if n <= 1 then Time.zero
-    else begin
-      ensure ta n;
-      ensure tb n;
-      let va = ta.buf and vb = tb.buf in
-      (* min over k = 0..n of max (va k) (vb (n - k)); packed comparisons
-         agree with Time comparisons (Inf = max_int dominates) *)
-      let best = ref (Stdlib.max va.(0) vb.(n)) in
-      for k = 1 to n do
-        let x = va.(k) and y = vb.(n - k) in
-        let v = if x >= y then x else y in
-        if v < !best then best := v
-      done;
-      if !best = Curve.packed_inf then Time.Inf else Time.of_int !best
-    end
-  in
-  (* g_i(k) = delta_plus_i (k + 2): table index k maps to curve index k + 2 *)
-  let ga = table (Stream.delta_plus_curve a) ~offset:2
-  and gb = table (Stream.delta_plus_curve b) ~offset:2 in
-  let delta_plus n =
-    if n <= 1 then Time.zero
-    else begin
-      let budget = n - 2 in
-      ensure ga budget;
-      ensure gb budget;
-      let va = ga.buf and vb = gb.buf in
-      (* max over k = 0..budget of min (ga k) (gb (budget - k)) *)
-      let best = ref (Stdlib.min va.(0) vb.(budget)) in
-      for k = 1 to budget do
-        let x = va.(k) and y = vb.(budget - k) in
-        let v = if x <= y then x else y in
-        if v > !best then best := v
-      done;
-      if !best = Curve.packed_inf then Time.Inf else Time.of_int !best
-    end
-  in
-  Stream.make ~name:"or-pair" ~delta_min ~delta_plus
+  let curves f = merge (f a) (f b) in
+  let dmin = curves Stream.delta_min_curve ~offset:1
+  and g = curves Stream.delta_plus_curve ~offset:2 in
+  Stream.make ~name:"or-pair"
+    ~delta_min:(fun n -> if n <= 1 then Time.zero else nth dmin (n - 1))
+    ~delta_plus:(fun n -> if n <= 1 then Time.zero else nth g (n - 2))
 
 let or_combine ?name streams =
   match streams with

@@ -1,7 +1,7 @@
 (** Session table of the serving daemon.
 
     A session is one loaded system with its warm {!Cpa_system.Engine}
-    resolution context, its accumulated edit history, and a private
+    resolution context, its count of applied edits, and a private
     {!Obs.Metrics} scope that every request executed on its behalf runs
     under.  Sessions are pinned to one {!Explore.Pool.Service} worker
     ([worker = hash id mod jobs]): the warm context's cached streams
@@ -23,8 +23,7 @@ type t = {
   worker : int;  (** pinned {!Explore.Pool.Service} worker index *)
   scope : Obs.Metrics.scope;  (** per-session accumulation cell set *)
   base : Spec_file.t;  (** the uploaded description (pure data) *)
-  mutable edits : Explore.Space.edit list;
-      (** accumulated edit history, oldest first *)
+  mutable edits : int;  (** edits applied since the upload *)
   mutable spec : Spec.t;  (** current system (worker-domain owned) *)
   mutable warm : Engine.warm option;  (** [None] until [load] finishes *)
   mutable last_outcomes : Engine.element_outcome list;

@@ -105,6 +105,9 @@ type ctx = {
   task_outputs : (string, Stream.t * S.t) Hashtbl.t;
   frames_pre : (string, Hem.Model.t * S.t) Hashtbl.t;
   frames_post : (string, Hem.Model.t * S.t) Hashtbl.t;
+  frames_sem : (string, Stream.t * S.t) Hashtbl.t;
+      (* flat-SEM fit of each frame's post-bus outer stream, shared by
+         every receiver of the frame *)
   profiles : (string, Event_model.Propagation.profile) Hashtbl.t;
       (* per-element busy-window completion profiles from the last local
          analysis; consulted by busy_window / optimal output propagation *)
@@ -134,6 +137,7 @@ let make_ctx ?selfcheck spec mode response_of =
     task_outputs = Hashtbl.create 16;
     frames_pre = Hashtbl.create 8;
     frames_post = Hashtbl.create 8;
+    frames_sem = Hashtbl.create 8;
     profiles = Hashtbl.create 16;
     profile_changed = S.empty;
     rtc_outputs = Hashtbl.create 8;
@@ -219,9 +223,7 @@ let rec resolve ctx (act : Spec.activation) =
       match ctx.mode with
       | Hierarchical -> Hem.Deconstruct.unpack_label post signal
       | Flat_stream -> Hem.Model.outer post
-      | Flat_sem ->
-        let outer = Hem.Model.outer post in
-        Sem.to_stream ~name:(Stream.name outer ^ "~sem") (Sem.fit outer)
+      | Flat_sem -> frame_sem ctx frame
     end
     | Spec.Or_of acts -> Combine.or_combine (List.map (resolve ctx) acts)
     | Spec.And_of acts -> Combine.and_combine (List.map (resolve ctx) acts)
@@ -293,6 +295,14 @@ and frame_post ctx name =
     stream_span "frame_post" name (fun () ->
       let pre = frame_pre ctx name in
       Hem.Inner_update.apply_response ~response:(ctx.response_of name) pre))
+
+(* The SEM fitted to a frame's post-bus outer stream depends on the
+   frame alone, not on the receiving signal. *)
+and frame_sem ctx name =
+  memo_deps ctx ctx.frames_sem name ~extra:(S.singleton name) (fun () ->
+    stream_span "frame_sem" name (fun () ->
+      let outer = Hem.Model.outer (frame_post ctx name) in
+      Sem.to_stream ~name:(Stream.name outer ^ "~sem") (Sem.fit outer)))
 
 (* Store freshly collected completion profiles in the context and mark
    the elements whose profile moved (including appearing or vanishing):
@@ -378,7 +388,8 @@ let analyse_resource ?window_limit ?q_limit ctx (res : Spec.resource) =
           ~activation:(Hem.Model.outer (frame_pre ctx f.frame_name)))
       frames
   in
-  let rt_tasks = List.map rt_of_task tasks @ rt_frames in
+  let rt_own = List.map rt_of_task tasks in
+  let rt_tasks = rt_own @ rt_frames in
   let profiled = uses_profiles ctx.spec in
   let outcomes =
     match res.backend with
@@ -443,19 +454,19 @@ let analyse_resource ?window_limit ?q_limit ctx (res : Spec.resource) =
       let slot_of (k : Spec.task) rt =
         { Scheduling.Tdma.task = rt; length = Option.get k.service }
       in
-      let slots = List.map2 slot_of tasks (List.map rt_of_task tasks) in
+      let slots = List.map2 slot_of tasks rt_own in
       Scheduling.Tdma.analyse ?window_limit ?q_limit slots
     | Spec.Round_robin ->
       let share_of (k : Spec.task) rt =
         { Scheduling.Round_robin.task = rt; quantum = Option.get k.service }
       in
-      let shares = List.map2 share_of tasks (List.map rt_of_task tasks) in
+      let shares = List.map2 share_of tasks rt_own in
       Scheduling.Round_robin.analyse ?window_limit ?q_limit shares
     | Spec.Edf ->
       let edf_of (k : Spec.task) rt =
         { Scheduling.Edf.task = rt; deadline = Option.get k.deadline }
       in
-      let edf_tasks = List.map2 edf_of tasks (List.map rt_of_task tasks) in
+      let edf_tasks = List.map2 edf_of tasks rt_own in
       Scheduling.Edf.analyse ?window_limit edf_tasks
   in
   let deps = ctx.dep_acc in
@@ -510,6 +521,7 @@ let run_fixpoint ~mode ~incremental ~max_iterations ?window_limit ?q_limit
         Hashtbl.reset ctx.task_outputs;
         Hashtbl.reset ctx.frames_pre;
         Hashtbl.reset ctx.frames_post;
+        Hashtbl.reset ctx.frames_sem;
         Hashtbl.reset resource_cache
       end
       else
@@ -517,7 +529,8 @@ let run_fixpoint ~mode ~incremental ~max_iterations ?window_limit ?q_limit
           !invalidated
           + drop_dirty ctx.task_outputs dirty
           + drop_dirty ctx.frames_pre dirty
-          + drop_dirty ctx.frames_post dirty;
+          + drop_dirty ctx.frames_post dirty
+          + drop_dirty ctx.frames_sem dirty;
       List.concat_map
         (fun (res : Spec.resource) ->
           match Hashtbl.find_opt resource_cache res.res_name with
@@ -913,6 +926,7 @@ let warm_update ?guard w ~spec ~stale =
         Hashtbl.reset ctx0.task_outputs;
         Hashtbl.reset ctx0.frames_pre;
         Hashtbl.reset ctx0.frames_post;
+        Hashtbl.reset ctx0.frames_sem;
         Hashtbl.reset ctx0.profiles;
         ctx0.profile_changed <- S.empty;
         Hashtbl.reset w.warm_resource_cache;
@@ -931,6 +945,7 @@ let warm_update ?guard w ~spec ~stale =
             Hashtbl.remove ctx0.task_outputs k;
             Hashtbl.remove ctx0.frames_pre k;
             Hashtbl.remove ctx0.frames_post k;
+            Hashtbl.remove ctx0.frames_sem k;
             Hashtbl.remove ctx0.profiles k)
           stale_set;
         S.iter

@@ -70,8 +70,16 @@ if ! grep -q '^analysis' "$flame"; then
   echo "check: no analysis-rooted stack in flamegraph output" >&2
   exit 1
 fi
+# The flat baseline's per-frame SEM fit is its costliest step: it must
+# stay attributed to its own engine.stream span.
+dune exec bin/hem_tool.exe -- profile --mode=flat examples/paper.spec \
+  --flame "$flame" > /dev/null
+if ! grep -q ';engine\.stream:frame_sem:[^;]* [0-9]*$' "$flame"; then
+  echo "check: profile --mode=flat has no engine.stream span for frame_sem" >&2
+  exit 1
+fi
 rm -f "$flame"
-echo "check: profile smoke ok (collapsed stacks well-formed)"
+echo "check: profile smoke ok (collapsed stacks well-formed, frame_sem attributed)"
 
 # --- convergence CSV byte-stability -----------------------------------
 # The machine-readable convergence format carries analysis data only

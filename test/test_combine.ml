@@ -152,10 +152,14 @@ let prop_or_matches_brute =
       && Time.equal (Stream.delta_plus combined n)
            (brute_or_delta_plus streams n))
 
-(* The packed-table convolution behind [or_combine] against the
-   verification layer's split-scan reference, over compact, sporadic
-   (infinite delta_plus) and closure-backed (an OR result) inputs, on a
-   dense prefix plus deep probes. *)
+(* The merge behind [or_combine] against the verification layer's
+   split-scan reference.  Inputs: compact jittered and bursty streams,
+   tie-prone periodic streams on a shared period grid, sporadic streams
+   (infinite delta_plus), finite bursts (infinite delta_min tails) and
+   closure-backed OR results, in lists of 2-6, sometimes with one stream
+   twice.  Each kernel is probed over a dense prefix in random order, with
+   a deep probe first or last, so the merge is extended on demand, out of
+   order, in one jump or in many steps. *)
 let arb_or_input =
   let open QCheck in
   let bursty =
@@ -166,27 +170,53 @@ let arb_or_input =
           ~burst ~d_min:d)
       (triple (int_range 10 300) (int_range 0 10) (int_range 1 15))
   in
+  let tied =
+    map
+      (fun (p, j) ->
+        Stream.periodic_jitter ~name:"t" ~period:(50 * p) ~jitter:(25 * j) ())
+      (pair (int_range 1 4) (int_range 0 2))
+  in
   let sporadic =
     map (fun d -> Stream.sporadic ~name:"sp" ~d_min:d) (int_range 1 200)
+  in
+  let finite =
+    map
+      (fun (k, d) ->
+        Stream.make ~name:"fin"
+          ~delta_min:(fun n ->
+            if n <= k then Time.of_int ((n - 1) * d) else Time.Inf)
+          ~delta_plus:(fun _ -> Time.Inf))
+      (pair (int_range 2 6) (int_range 0 50))
   in
   let closure =
     map (fun (a, b) -> Combine.or_combine [ a; b ]) (pair arb_stream arb_stream)
   in
-  oneof [ arb_stream; bursty; sporadic; closure ]
+  oneof [ arb_stream; bursty; tied; sporadic; finite; closure ]
 
-let or_reference_ns = List.init 65 Fun.id @ [ 100; 257; 1000 ]
+let arb_or_case =
+  let open QCheck in
+  let prefix = List.init 65 Fun.id @ [ 100; 257 ] in
+  quad
+    (list_of_size (Gen.int_range 2 6) arb_or_input)
+    bool bool
+    (make (Gen.shuffle_l prefix))
 
 let prop_or_pair_matches_reference =
   QCheck.Test.make ~name:"or_pair equals the split-scan reference" ~count:100
-    (QCheck.pair arb_or_input arb_or_input) (fun (a, b) ->
-      let kernel = Combine.or_combine [ a; b ] in
-      let reference = Verify.Oracle.reference_or [ a; b ] in
+    arb_or_case (fun (streams, twice, deep_first, probes) ->
+      let streams =
+        if twice then List.hd streams :: streams else streams
+      in
+      let kernel = Combine.or_combine streams in
+      let reference = Verify.Oracle.reference_or streams in
+      (* the reference folds naive scans: keep its depth affordable *)
+      let deep = if List.length streams = 2 then 1000 else 300 in
       List.for_all
         (fun n ->
           Time.equal (Stream.delta_min kernel n) (Stream.delta_min reference n)
           && Time.equal (Stream.delta_plus kernel n)
                (Stream.delta_plus reference n))
-        or_reference_ns)
+        (if deep_first then deep :: probes else probes @ [ deep ]))
 
 let prop_or_commutative =
   QCheck.Test.make ~name:"or_combine commutative" ~count:60

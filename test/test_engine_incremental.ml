@@ -96,6 +96,50 @@ let test_non_incremental_never_reuses () =
   Alcotest.(check int) "no invalidation bookkeeping" 0
     full.stats.streams_invalidated
 
+(* A warm flat-SEM session shares one fitted SEM stream per frame among
+   the frame's receivers.  After an edit to a source packed into a frame
+   and after repacks — the second reuses the first's frame names for a
+   different signal grouping, so only invalidation by key can tell the
+   old fit from the new — warm updates must equal a cold analysis. *)
+let test_warm_flat_sem_matches_cold () =
+  let module Space = Explore.Space in
+  let render (r : Engine.result) =
+    Engine.status_name r.Engine.status
+    :: List.map
+         (fun (o : Engine.element_outcome) ->
+           Format.asprintf "%s@%s=%a" o.element o.resource
+             Busy_window.pp_outcome o.outcome)
+         r.Engine.outcomes
+  in
+  let spec = Scenarios.Paper_system.spec () in
+  let w, _ = ok (Engine.warm ~mode:Engine.Flat_sem spec) in
+  let repack groups =
+    Space.Repack { bus = "CAN"; groups; bits_per_signal = 8; bit_time = 1 }
+  in
+  ignore
+    (List.fold_left
+       (fun before edit ->
+         let after = Space.apply before edit in
+         let sources, elements = Space.touched before edit in
+         let stale =
+           List.sort_uniq String.compare
+             (Engine.affected before ~sources ~elements
+             @ Engine.affected after ~sources ~elements)
+         in
+         let warm = ok (Engine.warm_update w ~spec:after ~stale) in
+         let cold = ok (Engine.analyse ~mode:Engine.Flat_sem after) in
+         Alcotest.(check (list string))
+           (Space.edit_label edit ^ ": warm = cold")
+           (render cold) (render warm);
+         after)
+       spec
+       [
+         Space.Source_period { source = "S1"; period = 300 };
+         repack [ [ "sig1"; "sig3" ]; [ "sig2"; "sig4" ] ];
+         repack [ [ "sig1"; "sig2" ]; [ "sig3"; "sig4" ] ];
+         Space.Source_period { source = "S2"; period = 400 };
+       ])
+
 let () =
   Alcotest.run "engine_incremental"
     [
@@ -110,5 +154,7 @@ let () =
             test_reuse_happens;
           Alcotest.test_case "non-incremental baseline" `Quick
             test_non_incremental_never_reuses;
+          Alcotest.test_case "warm flat_sem edits = cold" `Quick
+            test_warm_flat_sem_matches_cold;
         ] );
     ]

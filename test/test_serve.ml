@@ -500,6 +500,39 @@ let evicted_session_scratch_cleared () =
     ignore (reply_exn "close 2" (Client.close_session c ~session:s2));
     Client.close c)
 
+(* The metrics reply's "edits" field counts every edit applied to the
+   session, across requests carrying several edits; a rejected request
+   applies none. *)
+let metrics_count_edits () =
+  let spec_text = read_file "paper_gateway.scm" in
+  with_server (fun path ->
+    let c = connect_retry path in
+    let session =
+      match Client.session_id (reply_exn "load" (Client.load c ~spec:spec_text))
+      with
+      | Some id -> id
+      | None -> Alcotest.fail "load reply has no session id"
+    in
+    let edit what edits ~code =
+      let r = reply_exn what (Client.edit c ~session edits) in
+      Alcotest.(check int) (what ^ " status") code (Client.exit_code r)
+    in
+    let edits () =
+      int_field "metrics"
+        (reply_exn "metrics" (Client.metrics c ~session)).Protocol.body "edits"
+    in
+    Alcotest.(check int) "fresh session" 0 (edits ());
+    edit "two edits" ~code:0
+      [ Space.Task_priority { task = "t3"; priority = 4 };
+        Space.Source_period { source = "s3"; period = 900 } ];
+    edit "one edit" ~code:0
+      [ Space.Task_priority { task = "t3"; priority = 3 } ];
+    edit "unknown element" ~code:1
+      [ Space.Task_priority { task = "nope"; priority = 1 } ];
+    Alcotest.(check int) "applied edits" 3 (edits ());
+    ignore (reply_exn "close" (Client.close_session c ~session));
+    Client.close c)
+
 (* ------------------------------------------------------------------ *)
 (* End-to-end: load / edit / analyse on the daemon matches offline *)
 
@@ -578,5 +611,7 @@ let () =
           Alcotest.test_case "protocol fuzz" `Quick protocol_fuzz;
           Alcotest.test_case "eviction clears pinned-worker scratch" `Quick
             evicted_session_scratch_cleared;
+          Alcotest.test_case "metrics count applied edits" `Quick
+            metrics_count_edits;
         ] );
     ]
