@@ -1238,11 +1238,6 @@ let session_arg =
   let doc = "Session id (as returned by $(b,load))." in
   Arg.(required & opt (some string) None & info [ "session" ] ~docv:"ID" ~doc)
 
-let mode_wire_name = function
-  | Engine.Hierarchical -> "hierarchical"
-  | Engine.Flat_stream -> "flat-stream"
-  | Engine.Flat_sem -> "flat-sem"
-
 let client_cmd =
   let load_cmd =
     let spec_file_arg =
@@ -1256,7 +1251,7 @@ let client_cmd =
       in
       with_client socket tcp host (fun c ->
         Client.load ?deadline_ms:deadline ?budget:budget
-          ~mode:(mode_wire_name mode) c ~spec)
+          ~mode:(Engine.mode_name mode) c ~spec)
     in
     let doc =
       "Upload a spec and open a warm session; the reply body carries the \
@@ -1343,8 +1338,8 @@ let client_cmd =
   in
   let analyse_cmd =
     session_op "analyse"
-      ~doc:"Full outcomes of the session's current system (single-flight \
-            deduplicated across identical concurrent requests)."
+      ~doc:"Full outcomes of the session's current system, read back from \
+            its warm fixed point."
       (fun session -> Protocol.Analyse { session })
   in
   let metrics_cmd =

@@ -144,20 +144,21 @@ val map_guarded :
 
     Jobs are [unit -> unit] thunks; delivering results (and exceptions —
     a raising job is swallowed, the worker survives) is the submitter's
-    wrapper's concern.  Metrics: [explore.pool.service.jobs] accepted,
-    [explore.pool.service.rejected] refused after shutdown began. *)
+    wrapper's concern.  A worker keeps no state between jobs: whatever a
+    pinned owner caches lives in the owner's own record (a serving
+    session's warm context), so it goes when the owner does.  Metrics:
+    [explore.pool.service.jobs] accepted, [explore.pool.service.rejected]
+    refused after shutdown began. *)
 module Service : sig
   type t
 
-  val create : ?jobs:int -> ?label:string -> unit -> t
+  val create : ?jobs:int -> unit -> t
   (** Spawns [effective_jobs jobs] worker domains ([jobs] defaults to
-      {!default_jobs}; [label] defaults to ["explore.pool.service"]).
+      {!default_jobs}).
       @raise Invalid_argument when [jobs < 1]. *)
 
   val jobs : t -> int
   (** Number of worker domains actually running. *)
-
-  val label : t -> string
 
   val submit : t -> worker:int -> (unit -> unit) -> bool
   (** Enqueue a job on worker [worker]'s mailbox; [false] when the
@@ -167,23 +168,6 @@ module Service : sig
   val depth : t -> worker:int -> int
   (** Jobs currently queued (not yet started) on a worker — the
       admission-control signal.
-      @raise Invalid_argument when [worker] is outside [0 .. jobs-1]. *)
-
-  val scratch : unit -> (string, string) Hashtbl.t
-  (** The calling {e domain}'s scratch table ({!Domain.DLS}-backed).
-      Jobs running on a worker see that worker's private table; entries
-      are never shared or stolen, so no synchronisation is needed.  By
-      convention entries belonging to one pinned owner (a serving
-      session) use keys prefixed with its id, so {!clear_scratch} can
-      drop them when the owner goes away. *)
-
-  val clear_scratch : t -> worker:int -> prefix:string -> bool
-  (** Submit a job to worker [worker] removing every scratch entry whose
-      key starts with [prefix] — mailbox ordering guarantees the clear
-      runs after any in-flight jobs of the departing owner.  Cleared
-      entries are counted in [explore.pool.service.scratch_cleared].
-      Returns [false] when the service is shutting down (worker scratch
-      dies with its domain, so nothing leaks).
       @raise Invalid_argument when [worker] is outside [0 .. jobs-1]. *)
 
   val shutdown : t -> unit

@@ -16,10 +16,11 @@
     degrades the analysis and the reply carries status [3] plus the
     structured reason.
 
-    {b Single-flight.}  [analyse] results are deduplicated through an
-    {!Explore.Cache} keyed on [mode:digest]: concurrent identical
-    requests (same system, any session) compute once; only converged /
-    overloaded results are published (degraded ones are transient).
+    {b Reads.}  [analyse] is a read-back of the session's fixed point
+    ([Engine.warm_update ~stale:\[\]]), which analyses nothing when the
+    last [load] or [edit] converged.  When it did not (degraded,
+    overloaded or failed), the context is poisoned and the next
+    [analyse] rebuilds it in full under its own guard.
 
     {b Drain.}  On SIGTERM / SIGINT / a [shutdown] request the daemon
     stops accepting, rejects new requests, lets in-flight work finish —

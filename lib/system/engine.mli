@@ -24,6 +24,10 @@ val mode_name : mode -> string
 (** ["hierarchical"], ["flat_stream"] or ["flat_sem"] — used for scope
     and span naming and by the CLI. *)
 
+val mode_of_name : string -> mode option
+(** Inverse of {!mode_name}; also accepts the [-] spellings
+    (["flat-stream"], ["flat-sem"]).  Used by the serve protocol. *)
+
 type element_outcome = {
   element : string;  (** task or frame name *)
   resource : string;

@@ -209,9 +209,11 @@ echo "check: verify ok (25 fuzzed systems, seed 2026)"
 # --- serve daemon smoke -----------------------------------------------
 # Full client/server round on a temp Unix socket: load a session, make a
 # warm edit (which must reuse analyses from the resident fixed point),
-# read outcomes and per-session metrics, close, then SIGTERM the daemon
-# and require a clean (exit 0) drain.  The built binary is used directly
-# so the backgrounded daemon does not contend for the dune build lock.
+# read outcomes, restore the edit and require the read-back to equal the
+# load's outcomes, read per-session metrics, close, then SIGTERM the
+# daemon and require a clean (exit 0) drain.  The built binary is used
+# directly so the backgrounded daemon does not contend for the dune
+# build lock.
 HEM=./_build/default/bin/hem_tool.exe
 sock=$(mktemp -u /tmp/hem_serve.XXXXXX.sock)
 servelog=$(mktemp /tmp/hem_serve.XXXXXX.log)
@@ -228,7 +230,8 @@ if [ "$up" != 1 ]; then
   cat "$servelog" >&2
   exit 1
 fi
-sid=$("$HEM" client load --socket "$sock" --file examples/paper.spec | jq -r '.body.session')
+loaded=$("$HEM" client load --socket "$sock" --file examples/paper.spec)
+sid=$(printf '%s' "$loaded" | jq -r '.body.session')
 if [ -z "$sid" ] || [ "$sid" = null ]; then
   echo "check: serve load returned no session id" >&2
   exit 1
@@ -242,6 +245,15 @@ fi
 "$HEM" client analyse --socket "$sock" --session "$sid" \
   | jq -e '.status == 0 and (.body.outcomes | length > 0)' > /dev/null \
   || { echo "check: serve analyse returned no outcomes" >&2; exit 1; }
+# t3's priority in examples/paper.spec is 3: restoring it must read back
+# exactly the outcomes the load computed
+"$HEM" client edit --socket "$sock" --session "$sid" --task-priority t3=3 \
+  | jq -e '.status == 0' > /dev/null \
+  || { echo "check: serve restoring edit failed" >&2; exit 1; }
+"$HEM" client analyse --socket "$sock" --session "$sid" \
+  | jq -e --argjson want "$(printf '%s' "$loaded" | jq -c '.body.outcomes')" \
+      '.status == 0 and .body.outcomes == $want' > /dev/null \
+  || { echo "check: serve analyse after restore differs from load" >&2; exit 1; }
 "$HEM" client metrics --socket "$sock" --session "$sid" \
   | jq -e '.body.requests >= 2 and .body.counters["busy_window.windows"] >= 1
            and .body.process.counters["serve.requests"] >= 1' > /dev/null \

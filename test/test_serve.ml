@@ -421,30 +421,16 @@ let protocol_fuzz () =
     Client.close c)
 
 (* ------------------------------------------------------------------ *)
-(* LRU eviction clears the victim's pinned-worker scratch: reloading
-   the same spec after an eviction must reply byte-identically to the
-   first load's analyse (modulo session id / process snapshot /
-   cache-hit — the cross-session analysis cache legitimately survives
-   eviction; the per-session scratch must not) *)
+(* LRU eviction drops the victim: its id faults afterwards, and
+   reloading the same spec replies byte-identically to the first load's
+   analyse (modulo session id / process snapshot) *)
 
 let int_field what body key =
   match Json.member key body with
   | Some (Json.Int n) -> n
   | _ -> Alcotest.failf "%s: no %s field" what key
 
-(* drop the fields that legitimately differ between the two rounds *)
-let evict_stable (r : Protocol.reply) =
-  match r.Protocol.body with
-  | Json.Obj fields ->
-    Json.to_string
-      (Json.Obj
-         (List.filter
-            (fun (k, _) ->
-              k <> "session" && k <> "process" && k <> "cache-hit")
-            fields))
-  | j -> Json.to_string j
-
-let evicted_session_scratch_cleared () =
+let eviction_drops_session () =
   let spec_text = read_file "paper_gateway.scm" in
   with_server ~max_sessions:1 (fun path ->
     let c = connect_retry path in
@@ -457,10 +443,10 @@ let evicted_session_scratch_cleared () =
     let s1 = session_of "load 1" load1 in
     let a1 = reply_exn "analyse 1" (Client.analyse c ~session:s1) in
     Alcotest.(check int) "analyse 1 ok" 0 (Client.exit_code a1);
-    (* re-analyse: replayed from the pinned worker's scratch *)
+    (* re-analyse: the same read-back of the same fixed point *)
     let a1' = reply_exn "analyse 1 again" (Client.analyse c ~session:s1) in
-    Alcotest.(check string) "scratch replay is byte-identical"
-      (evict_stable a1) (evict_stable a1');
+    Alcotest.(check string) "repeated analyse is byte-identical"
+      (stable_body a1) (stable_body a1');
     (* the table holds one session: loading again evicts s1 *)
     let load2 = reply_exn "load 2" (Client.load c ~spec:spec_text) in
     let s2 = session_of "load 2" load2 in
@@ -478,25 +464,10 @@ let evicted_session_scratch_cleared () =
     in
     Alcotest.(check int) "evicted session faults" 1 (Client.exit_code r);
     (* the reloaded session's analyse is byte-identical to the first
-       round — in particular it did not replay s1's scratch entries *)
+       round *)
     let a2 = reply_exn "analyse 2" (Client.analyse c ~session:s2) in
     Alcotest.(check string) "evict-then-reload analyse byte-identical"
-      (evict_stable a1) (evict_stable a2);
-    (* the eviction's scratch clear ran on the pinned worker and found
-       s1's memoised reply there (submitted asynchronously at evict
-       time, so poll briefly) *)
-    let cleared =
-      Obs.Metrics.counter "explore.pool.service.scratch_cleared"
-    in
-    let rec wait n =
-      if Obs.Metrics.total cleared > 0 then true
-      else if n = 0 then false
-      else begin
-        Thread.delay 0.05;
-        wait (n - 1)
-      end
-    in
-    Alcotest.(check bool) "worker scratch was cleared" true (wait 100);
+      (stable_body a1) (stable_body a2);
     ignore (reply_exn "close 2" (Client.close_session c ~session:s2));
     Client.close c)
 
@@ -536,15 +507,42 @@ let metrics_count_edits () =
 (* ------------------------------------------------------------------ *)
 (* End-to-end: load / edit / analyse on the daemon matches offline *)
 
+let parse_spec text =
+  match Cpa_system.Spec_file.parse text with
+  | Ok d -> Cpa_system.Spec_file.to_spec d
+  | Error e -> Alcotest.failf "spec parse: %s" e
+
+(* the outcome list of an offline analysis, rendered as the daemon's
+   "outcomes" field *)
+let offline_outcomes spec =
+  let offline = ok_exn "offline" (Engine.analyse spec) in
+  let rendered (o : Engine.element_outcome) =
+    match o.Engine.outcome with
+    | Scheduling.Busy_window.Bounded iv ->
+      Json.to_string
+        (Json.Obj
+           [
+             "element", Json.Str o.Engine.element;
+             "resource", Json.Str o.Engine.resource;
+             "outcome", Json.Str "bounded";
+             "lo", Json.Int (Timebase.Interval.lo iv);
+             "hi", Json.Int (Timebase.Interval.hi iv);
+           ])
+    | Scheduling.Busy_window.Unbounded reason ->
+      Json.to_string
+        (Json.Obj
+           [
+             "element", Json.Str o.Engine.element;
+             "resource", Json.Str o.Engine.resource;
+             "outcome", Json.Str "unbounded";
+             "reason", Json.Str reason;
+           ])
+  in
+  "[" ^ String.concat "," (List.map rendered offline.Engine.outcomes) ^ "]"
+
 let daemon_matches_offline () =
   let spec_text = read_file "paper_gateway.scm" in
-  let description =
-    match Cpa_system.Spec_file.parse spec_text with
-    | Ok d -> d
-    | Error e -> Alcotest.failf "spec parse: %s" e
-  in
-  let spec = Cpa_system.Spec_file.to_spec description in
-  let offline = ok_exn "offline" (Engine.analyse spec) in
+  let expected = offline_outcomes (parse_spec spec_text) in
   with_server (fun path ->
     let c = connect_retry path in
     let load = reply_exn "load" (Client.load c ~spec:spec_text) in
@@ -552,31 +550,6 @@ let daemon_matches_offline () =
       match Client.session_id load with
       | Some id -> id
       | None -> Alcotest.fail "no session id"
-    in
-    let rendered (o : Engine.element_outcome) =
-      match o.Engine.outcome with
-      | Scheduling.Busy_window.Bounded iv ->
-        Json.to_string
-          (Json.Obj
-             [
-               "element", Json.Str o.Engine.element;
-               "resource", Json.Str o.Engine.resource;
-               "outcome", Json.Str "bounded";
-               "lo", Json.Int (Timebase.Interval.lo iv);
-               "hi", Json.Int (Timebase.Interval.hi iv);
-             ])
-      | Scheduling.Busy_window.Unbounded reason ->
-        Json.to_string
-          (Json.Obj
-             [
-               "element", Json.Str o.Engine.element;
-               "resource", Json.Str o.Engine.resource;
-               "outcome", Json.Str "unbounded";
-               "reason", Json.Str reason;
-             ])
-    in
-    let expected =
-      "[" ^ String.concat "," (List.map rendered offline.Engine.outcomes) ^ "]"
     in
     (match Json.member "outcomes" load.Protocol.body with
     | Some j ->
@@ -589,6 +562,41 @@ let daemon_matches_offline () =
       Alcotest.(check string) "analyse outcomes = offline engine" expected
         (Json.to_string j)
     | None -> Alcotest.fail "analyse reply has no outcomes");
+    ignore (reply_exn "close" (Client.close_session c ~session));
+    Client.close c)
+
+(* An edit that runs out of budget degrades (status 3) and poisons the
+   session's fixed point; the next plain analyse must rebuild it and
+   reply with the edited system's offline outcomes, and the session
+   must keep taking edits. *)
+let analyse_after_degraded_edit () =
+  let spec_text = read_file "paper_gateway.scm" in
+  let edit = Space.Task_priority { task = "t3"; priority = 4 } in
+  let expected = offline_outcomes (Space.apply (parse_spec spec_text) edit) in
+  with_server (fun path ->
+    let c = connect_retry path in
+    let session =
+      match Client.session_id (reply_exn "load" (Client.load c ~spec:spec_text))
+      with
+      | Some id -> id
+      | None -> Alcotest.fail "load reply has no session id"
+    in
+    let r = reply_exn "edit" (Client.edit ~budget:1 c ~session [ edit ]) in
+    Alcotest.(check int) "budget-starved edit degrades" 3 (Client.exit_code r);
+    let a = reply_exn "analyse" (Client.analyse c ~session) in
+    Alcotest.(check int) "analyse after degraded edit ok" 0
+      (Client.exit_code a);
+    (match Json.member "outcomes" a.Protocol.body with
+    | Some j ->
+      Alcotest.(check string) "analyse outcomes = offline edited spec"
+        expected (Json.to_string j)
+    | None -> Alcotest.fail "analyse reply has no outcomes");
+    let r =
+      reply_exn "edit again"
+        (Client.edit c ~session
+           [ Space.Task_priority { task = "t3"; priority = 3 } ])
+    in
+    Alcotest.(check int) "next edit ok" 0 (Client.exit_code r);
     ignore (reply_exn "close" (Client.close_session c ~session));
     Client.close c)
 
@@ -609,8 +617,10 @@ let () =
           Alcotest.test_case "interleaved sessions are scope-exact" `Quick
             interleaved_sessions_scope_exact;
           Alcotest.test_case "protocol fuzz" `Quick protocol_fuzz;
-          Alcotest.test_case "eviction clears pinned-worker scratch" `Quick
-            evicted_session_scratch_cleared;
+          Alcotest.test_case "eviction drops the session" `Quick
+            eviction_drops_session;
+          Alcotest.test_case "analyse after a degraded edit" `Quick
+            analyse_after_degraded_edit;
           Alcotest.test_case "metrics count applied edits" `Quick
             metrics_count_edits;
         ] );

@@ -333,6 +333,15 @@ let prop_fuzzed_systems_verify =
         QCheck.Test.fail_reportf "%a" Oracle.pp_report report
       else true)
 
+(* Seed 3196 ("paper F1.tx=[1:1]+S3.period=348") is a pure-periodic
+   system on which busy_window propagation converges in 3 iterations
+   and theta_tau in 2, to byte-identical bounds: the propagation
+   invariance must compare outcomes, not iteration counts. *)
+let test_fuzz_seed_3196 () =
+  let report = Oracle.verify_case ~horizon:40_000 (Fuzz.of_seed 3196) in
+  if not (Oracle.passed report) then
+    Alcotest.failf "%a" Oracle.pp_report report
+
 let () =
   Alcotest.run "verify"
     [
@@ -373,6 +382,8 @@ let () =
           Alcotest.test_case "deterministic" `Quick test_fuzz_deterministic;
           Alcotest.test_case "generators match sources" `Quick
             test_fuzz_generators_match_sources;
+          Alcotest.test_case "seed 3196 verifies clean" `Quick
+            test_fuzz_seed_3196;
           QCheck_alcotest.to_alcotest ~long:true prop_fuzzed_systems_verify;
         ] );
     ]
