@@ -35,6 +35,16 @@ let ok = function
 
 let analyse_paper mode = ok (Engine.analyse ~mode (Paper.spec ()))
 
+(* per-element worst-case bound, [None] when unbounded *)
+let hi_map (r : Engine.result) =
+  List.map
+    (fun (o : Engine.element_outcome) ->
+      ( o.Engine.element,
+        match o.Engine.outcome with
+        | Scheduling.Busy_window.Bounded i -> Some (Interval.hi i)
+        | Scheduling.Busy_window.Unbounded _ -> None ))
+    r.Engine.outcomes
+
 (* ------------------------------------------------------------------ *)
 (* E1/E2: Tables 1 and 2 — system parameters and bus analysis          *)
 
@@ -96,27 +106,7 @@ let table3 () =
 
 let figure4 () =
   banner "Figure 4: eta+ of F1 output and unpacked T1-T3 input streams";
-  let hem = analyse_paper Engine.Hierarchical in
-  let frame_out = hem.Engine.resolve (Spec.From_frame "F1") in
-  let unpacked signal =
-    hem.Engine.resolve (Spec.From_signal { frame = "F1"; signal })
-  in
-  let streams =
-    [ "F1", frame_out;
-      "T1", unpacked "sig1"; "T2", unpacked "sig2"; "T3", unpacked "sig3" ]
-  in
-  Printf.printf "%-8s" "dt";
-  List.iter (fun (name, _) -> Printf.printf "%8s" name) streams;
-  print_newline ();
-  let rec dts t acc = if t > 2500 then List.rev acc else dts (t + 125) (t :: acc) in
-  List.iter
-    (fun dt ->
-      Printf.printf "%-8d" dt;
-      List.iter
-        (fun (_, s) -> Printf.printf "%8s" (Count.to_string (Stream.eta_plus s dt)))
-        streams;
-      print_newline ())
-    (dts 125 [])
+  print_string (ok (Paper.figure4 ()))
 
 (* ------------------------------------------------------------------ *)
 (* A1: ablation — pending-signal period sweep                          *)
@@ -282,14 +272,7 @@ let buffers () =
     | Error e -> e
   in
   let spec = Paper.spec () in
-  let generators =
-    [
-      "S1", Des.Gen.periodic ~period:250 ();
-      "S2", Des.Gen.periodic ~period:450 ();
-      "S3", Des.Gen.periodic ~period:Paper.s3_period ();
-      "S4", Des.Gen.periodic ~period:400 ();
-    ]
-  in
+  let generators = Paper.generators () in
   match Des.Simulator.run ~generators ~horizon:1_000_000 spec with
   | Error e -> Printf.printf "simulation failed: %s\n" e
   | Ok trace ->
@@ -359,14 +342,7 @@ let cross_framework () =
 let robustness () =
   banner "R1: signal delivery under injected frame loss (500k units)";
   let spec = Paper.spec () in
-  let generators =
-    [
-      "S1", Des.Gen.periodic ~period:250 ();
-      "S2", Des.Gen.periodic ~period:450 ();
-      "S3", Des.Gen.periodic ~period:Paper.s3_period ();
-      "S4", Des.Gen.periodic ~period:400 ();
-    ]
-  in
+  let generators = Paper.generators () in
   Printf.printf "%-8s %14s %14s %16s\n" "loss" "sig1 (trig.)" "sig3 (pend.)"
     "max sig3 gap";
   List.iter
@@ -406,14 +382,7 @@ let validate () =
   banner "V1: simulation vs analysis (paper system)";
   let spec = Paper.spec () in
   let hem = analyse_paper Engine.Hierarchical in
-  let generators =
-    [
-      "S1", Des.Gen.periodic ~period:250 ();
-      "S2", Des.Gen.periodic ~period:450 ();
-      "S3", Des.Gen.periodic ~period:Paper.s3_period ();
-      "S4", Des.Gen.periodic ~period:400 ();
-    ]
-  in
+  let generators = Paper.generators () in
   match Des.Simulator.run ~generators ~horizon:1_000_000 spec with
   | Error e -> Printf.printf "simulation failed: %s\n" e
   | Ok trace ->
@@ -432,21 +401,6 @@ let validate () =
 
 module Prop = Event_model.Propagation
 
-(* Force one propagation mode on the whole system: spec-wide default
-   set, per-task overrides cleared — the same normalisation the
-   propagation oracle applies. *)
-let forced_propagation mode (spec : Spec.t) =
-  let spec =
-    {
-      spec with
-      Spec.tasks =
-        List.map
-          (fun (t : Spec.task) -> { t with Spec.propagation = None })
-          spec.Spec.tasks;
-    }
-  in
-  Spec.with_propagation mode spec
-
 let propagation_bench () =
   banner "propagation: per-mode output-model tightness (BENCH_9.json)";
   let systems =
@@ -458,15 +412,6 @@ let propagation_bench () =
       "chain_12", Scenarios.Synthetic.chain ~stages:12 ();
       "network_8", Scenarios.Synthetic.network ();
     ]
-  in
-  let hi_map (r : Engine.result) =
-    List.map
-      (fun (o : Engine.element_outcome) ->
-        ( o.Engine.element,
-          match o.Engine.outcome with
-          | Scheduling.Busy_window.Bounded i -> Some (Interval.hi i)
-          | Scheduling.Busy_window.Unbounded _ -> None ))
-      r.Engine.outcomes
   in
   let mode_names = List.map Prop.mode_name Prop.all_modes in
   Printf.printf "%-12s %10s" "system" "flat";
@@ -486,7 +431,7 @@ let propagation_bench () =
                 hi_map
                   (ok
                      (Engine.analyse ~mode:Engine.Hierarchical
-                        ~incremental:false (forced_propagation m spec))) ))
+                        ~incremental:false (Spec.force_propagation m spec))) ))
             Prop.all_modes
         in
         let theta = List.assoc Prop.Theta_tau per_mode in
@@ -596,20 +541,6 @@ let propagation_bench () =
 (* ------------------------------------------------------------------ *)
 (* hybrid: rtc vs cpa vs mixed backend tightness (BENCH_10.json)      *)
 
-(* Force every resource onto one local-analysis backend; EDF resources
-   stay on [Cpa] (no RTC service model for dynamic deadlines, and
-   [Spec.validate] rejects the combination). *)
-let forced_backend b (spec : Spec.t) =
-  {
-    spec with
-    Spec.resources =
-      List.map
-        (fun (r : Spec.resource) ->
-          if r.Spec.scheduler = Spec.Edf then { r with Spec.backend = Spec.Cpa }
-          else { r with Spec.backend = b })
-        spec.Spec.resources;
-  }
-
 (* Alternate backends resource by resource, so every multi-resource
    system carries at least one RTC and one CPA resource in one graph —
    the coupling the hybrid fixed point has to route curves across. *)
@@ -639,19 +570,10 @@ let hybrid_bench () =
   in
   let backends =
     [
-      "cpa", forced_backend Spec.Cpa;
-      "rtc", forced_backend Spec.Rtc;
+      "cpa", Spec.force_backend Spec.Cpa;
+      "rtc", Spec.force_backend Spec.Rtc;
       "mixed", mixed_backend;
     ]
-  in
-  let hi_map (r : Engine.result) =
-    List.map
-      (fun (o : Engine.element_outcome) ->
-        ( o.Engine.element,
-          match o.Engine.outcome with
-          | Scheduling.Busy_window.Bounded i -> Some (Interval.hi i)
-          | Scheduling.Busy_window.Unbounded _ -> None ))
-      r.Engine.outcomes
   in
   Printf.printf "%-12s %8s %12s %10s\n" "system" "backend" "sum R+"
     "bounded";
@@ -740,14 +662,7 @@ let hybrid_bench () =
   (* one DES trace of the paper system (backend-independent): every
      backend's analytic bounds must dominate the observed responses *)
   let paper_spec = Paper.spec () in
-  let generators =
-    [
-      "S1", Des.Gen.periodic ~period:250 ();
-      "S2", Des.Gen.periodic ~period:450 ();
-      "S3", Des.Gen.periodic ~period:Paper.s3_period ();
-      "S4", Des.Gen.periodic ~period:400 ();
-    ]
-  in
+  let generators = Paper.generators () in
   let dominance =
     match Des.Simulator.run ~generators ~horizon:1_000_000 paper_spec with
     | Error e ->

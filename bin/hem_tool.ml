@@ -36,8 +36,6 @@
    an invariant violation. *)
 
 module Interval = Timebase.Interval
-module Count = Timebase.Count
-module Stream = Event_model.Stream
 module Spec = Cpa_system.Spec
 module Engine = Cpa_system.Engine
 module Report = Cpa_system.Report
@@ -120,14 +118,30 @@ let read_file path =
   close_in ic;
   contents
 
-let load_spec ?(s3_period = Paper.s3_period) = function
-  | None -> Paper.spec ~s3_period (), true
+(* The system a command runs on: the built-in paper system, or a
+   description file, parsed once here with the one error path (exit 1
+   naming the file). *)
+type system =
+  | Paper_system
+  | File of Cpa_system.Spec_file.t
+
+let load_system = function
+  | None -> Paper_system
   | Some path -> begin
     match Cpa_system.Spec_file.parse (read_file path) with
-    | Ok description -> Cpa_system.Spec_file.to_spec description, false
+    | Ok description -> File description
     | Error e -> exit_err (Printf.sprintf "%s: %s" path e)
     | exception Sys_error e -> exit_err e
   end
+
+let build_spec ?(s3_period = Paper.s3_period) = function
+  | Paper_system -> Paper.spec ~s3_period ()
+  | File description -> Cpa_system.Spec_file.to_spec description
+
+let load_spec ?s3_period file =
+  let system = load_system file in
+  let is_paper = match system with Paper_system -> true | File _ -> false in
+  build_spec ?s3_period system, is_paper
 
 let file_arg =
   let doc =
@@ -231,7 +245,7 @@ let apply_propagation propagation spec =
 (* backend: force every resource onto one local-analysis backend *)
 
 let backend_arg =
-  let choices = [ "spec", `Spec; "cpa", `Cpa; "rtc", `Rtc ] in
+  let choices = [ "spec", None; "cpa", Some Spec.Cpa; "rtc", Some Spec.Rtc ] in
   let doc =
     "Local-analysis backend forced on every resource: $(b,cpa) \
      (busy-window analysis), $(b,rtc) (workload/service curves; EDF \
@@ -239,25 +253,10 @@ let backend_arg =
      dynamic deadlines), or $(b,spec) (keep each resource's declared \
      backend — the default)."
   in
-  Arg.(value & opt (enum choices) `Spec & info [ "backend" ] ~docv:"B" ~doc)
+  Arg.(value & opt (enum choices) None & info [ "backend" ] ~docv:"B" ~doc)
 
 let apply_backend backend spec =
-  let force b =
-    {
-      spec with
-      Spec.resources =
-        List.map
-          (fun (r : Spec.resource) ->
-            if r.Spec.scheduler = Spec.Edf then
-              { r with Spec.backend = Spec.Cpa }
-            else { r with Spec.backend = b })
-          spec.Spec.resources;
-    }
-  in
-  match backend with
-  | `Spec -> spec
-  | `Cpa -> force Spec.Cpa
-  | `Rtc -> force Spec.Rtc
+  Option.fold ~none:spec ~some:(fun b -> Spec.force_backend b spec) backend
 
 (* selfcheck: wire the Verify sanitizer into the engine's audit hook *)
 
@@ -319,11 +318,7 @@ let analyse_cmd =
   let run mode s3_period file propagation backend stats trace trace_level
       metrics selfcheck deadline budget =
     let guard = mk_guard deadline budget in
-    let spec, is_paper =
-      match file with
-      | None -> Paper.spec ~s3_period (), true
-      | Some _ -> load_spec file
-    in
+    let spec, is_paper = load_spec ~s3_period file in
     let spec = apply_backend backend (apply_propagation propagation spec) in
     with_trace trace trace_level @@ fun () ->
     with_metrics metrics @@ fun () ->
@@ -596,15 +591,8 @@ let frame_priority_arg =
 (* Base builder: rebuilt from pure data inside every worker domain, as
    the pool's domain-locality contract requires. *)
 let base_builder file s3_period =
-  match file with
-  | None -> (fun () -> Paper.spec ~s3_period ()), "paper system"
-  | Some path -> begin
-    match Cpa_system.Spec_file.parse (read_file path) with
-    | Ok description ->
-      (fun () -> Cpa_system.Spec_file.to_spec description), path
-    | Error e -> exit_err (Printf.sprintf "%s: %s" path e)
-    | exception Sys_error e -> exit_err e
-  end
+  let system = load_system file in
+  fun () -> build_spec ~s3_period system
 
 let render_report format report =
   (match format with
@@ -634,7 +622,7 @@ let sweep_cmd =
   let run s3_period file periods cets fprios jobs format deadline budget =
     let jobs = resolve_jobs jobs in
     let guard = mk_guard deadline budget in
-    let base, _ = base_builder file s3_period in
+    let base = base_builder file s3_period in
     let axes = period_axes periods @ cet_axes cets @ frame_priority_axes fprios in
     if axes = [] then
       exit_err "sweep: give at least one --period / --cet-scale / --frame-priority axis";
@@ -658,7 +646,7 @@ let explore_cmd =
       jobs format deadline budget =
     let jobs = resolve_jobs jobs in
     let guard = mk_guard deadline budget in
-    let base, _ = base_builder file s3_period in
+    let base = base_builder file s3_period in
     let base_spec = base () in
     let bus =
       match bus with
@@ -747,14 +735,7 @@ let explore_cmd =
 let simulate_cmd =
   let run horizon seed s3_period =
     let spec = Paper.spec ~s3_period () in
-    let generators =
-      [
-        "S1", Des.Gen.periodic ~period:250 ();
-        "S2", Des.Gen.periodic ~period:450 ();
-        "S3", Des.Gen.periodic ~period:s3_period ();
-        "S4", Des.Gen.periodic ~period:400 ();
-      ]
-    in
+    let generators = Paper.generators ~s3_period () in
     match Des.Simulator.run ~seed ~generators ~horizon spec with
     | Error e -> exit_err e
     | Ok trace ->
@@ -784,34 +765,10 @@ let simulate_cmd =
 
 let figure4_cmd =
   let run max_dt step s3_period =
-    match Engine.analyse ~mode:Engine.Hierarchical (Paper.spec ~s3_period ()) with
+    if step < 1 then exit_err "figure4: --step must be >= 1";
+    match Paper.figure4 ~s3_period ~max_dt ~step () with
     | Error e -> exit_guard_err e
-    | Ok hem ->
-      let streams =
-        ("F1", hem.Engine.resolve (Spec.From_frame "F1"))
-        :: List.map2
-             (fun task signal ->
-               ( task,
-                 hem.Engine.resolve (Spec.From_signal { frame = "F1"; signal })
-               ))
-             Paper.cpu_tasks
-             [ "sig1"; "sig2"; "sig3" ]
-      in
-      Printf.printf "%-8s" "dt";
-      List.iter (fun (name, _) -> Printf.printf "%8s" name) streams;
-      print_newline ();
-      let rec loop dt =
-        if dt <= max_dt then begin
-          Printf.printf "%-8d" dt;
-          List.iter
-            (fun (_, s) ->
-              Printf.printf "%8s" (Count.to_string (Stream.eta_plus s dt)))
-            streams;
-          print_newline ();
-          loop (dt + step)
-        end
-      in
-      loop step
+    | Ok table -> print_string table
   in
   let max_dt =
     Arg.(value & opt int 2500
@@ -828,42 +785,33 @@ let figure4_cmd =
 
 let export_cmd =
   let run file horizon seed out_prefix =
-    let spec, _ = load_spec file in
+    let system = load_system file in
+    let spec = build_spec system in
     (* generators reconstructed from the source streams is not possible in
        general; periodic generators matching the built-in system are used
        for the default, and periodic-from-description for files *)
     let generators =
-      match file with
-      | None ->
-        [
-          "S1", Des.Gen.periodic ~period:250 ();
-          "S2", Des.Gen.periodic ~period:450 ();
-          "S3", Des.Gen.periodic ~period:Paper.s3_period ();
-          "S4", Des.Gen.periodic ~period:400 ();
-        ]
-      | Some path -> begin
-        match Cpa_system.Spec_file.parse (read_file path) with
-        | Error e -> exit_err e
-        | Ok description ->
-          List.map
-            (fun (s : Cpa_system.Spec_file.source) ->
-              let gen =
-                match s.Cpa_system.Spec_file.desc with
-                | Cpa_system.Spec_file.Periodic p -> Des.Gen.periodic ~period:p ()
-                | Cpa_system.Spec_file.Periodic_jitter { period; jitter; _ } ->
-                  Des.Gen.periodic_jitter ~period ~jitter ()
-                | Cpa_system.Spec_file.Sporadic d ->
-                  Des.Gen.sporadic ~d_min:d ~slack:d ()
-                | Cpa_system.Spec_file.Burst { period; burst; d_min } ->
-                  Des.Gen.of_times
-                    (List.concat_map
-                       (fun k ->
-                         List.init burst (fun j -> (k * period) + (j * d_min)))
-                       (List.init ((1_000_000 / period) + 1) Fun.id))
-              in
-              s.Cpa_system.Spec_file.source_name, gen)
-            description.Cpa_system.Spec_file.sources
-      end
+      match system with
+      | Paper_system -> Paper.generators ()
+      | File description ->
+        List.map
+          (fun (s : Cpa_system.Spec_file.source) ->
+            let gen =
+              match s.Cpa_system.Spec_file.desc with
+              | Cpa_system.Spec_file.Periodic p -> Des.Gen.periodic ~period:p ()
+              | Cpa_system.Spec_file.Periodic_jitter { period; jitter; _ } ->
+                Des.Gen.periodic_jitter ~period ~jitter ()
+              | Cpa_system.Spec_file.Sporadic d ->
+                Des.Gen.sporadic ~d_min:d ~slack:d ()
+              | Cpa_system.Spec_file.Burst { period; burst; d_min } ->
+                Des.Gen.of_times
+                  (List.concat_map
+                     (fun k ->
+                       List.init burst (fun j -> (k * period) + (j * d_min)))
+                     (List.init ((1_000_000 / period) + 1) Fun.id))
+            in
+            s.Cpa_system.Spec_file.source_name, gen)
+          description.Cpa_system.Spec_file.sources
     in
     match Des.Simulator.run ~seed ~generators ~horizon spec with
     | Error e -> exit_err e
@@ -914,14 +862,7 @@ let export_cmd =
 let gantt_cmd =
   let run from_time width =
     let spec = Paper.spec () in
-    let generators =
-      [
-        "S1", Des.Gen.periodic ~period:250 ();
-        "S2", Des.Gen.periodic ~period:450 ();
-        "S3", Des.Gen.periodic ~period:Paper.s3_period ();
-        "S4", Des.Gen.periodic ~period:400 ();
-      ]
-    in
+    let generators = Paper.generators () in
     match
       Des.Simulator.run ~generators ~horizon:(from_time + width + 1000) spec
     with
@@ -1067,15 +1008,7 @@ let verify_cmd =
       checkpoint ();
       let spec, is_paper = load_spec ~s3_period file in
       let generators =
-        if is_paper then
-          Some
-            [
-              "S1", Des.Gen.periodic ~period:250 ();
-              "S2", Des.Gen.periodic ~period:450 ();
-              "S3", Des.Gen.periodic ~period:s3_period ();
-              "S4", Des.Gen.periodic ~period:400 ();
-            ]
-        else None
+        if is_paper then Some (Paper.generators ~s3_period ()) else None
       in
       Format.printf "@.-- system oracles --@.";
       checkpoint ();

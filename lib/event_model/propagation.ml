@@ -9,27 +9,82 @@ type mode =
   | Busy_window
   | Optimal
 
-let all_modes =
-  [ Theta_tau; Jitter; Jitter_offset; Jitter_bmin; Busy_window; Optimal ]
+(* ------------------------------------------------------------------ *)
+(* The term table.
 
-let mode_name = function
-  | Theta_tau -> "theta_tau"
-  | Jitter -> "jitter"
-  | Jitter_offset -> "jitter_offset"
-  | Jitter_bmin -> "jitter_bmin"
-  | Busy_window -> "busy_window"
-  | Optimal -> "optimal"
+   Throughout, [J = r+ - r-] is the response-time spread (output jitter
+   amplification).  Every mode's output minimum-distance curve is the
+   pointwise max of a few sound lower bounds on the distance of [n]
+   consecutive output events:
 
-let mode_of_name = function
-  | "theta_tau" -> Some Theta_tau
-  | "jitter" -> Some Jitter
-  | "jitter_offset" -> Some Jitter_offset
-  | "jitter_bmin" -> Some Jitter_bmin
-  | "busy_window" -> Some Busy_window
-  | "optimal" -> Some Optimal
-  | _ -> None
+   - the {e jitter} term [max 0 (delta_min n - J)], taken by every row:
+     the first of the n outputs leaves at the latest [r+] after its
+     arrival, the last at the earliest [r-] after its own, and the
+     arrivals are at least [delta_min n] apart (Richter's output jitter
+     equation);
+   - {e floors} [(n-1) * rate] for rates drawn from [0], [r-] (the
+     serialization floor: successive completions of the same element are
+     at least a best-case response apart) and [bmin] (the execution
+     floor: each of the n-1 jobs between the two boundary outputs costs
+     at least its minimum service time after its predecessor's
+     completion, preemption only widens it);
+   - the {e busy-window} term [min_q (delta_min (n + q - 1) - finish q)
+     + r-] (Schliecker-style): if the first of the n outputs is the q-th
+     activation of its busy window, it completes no later than
+     [window start + finish q], while the last of the n arrives no
+     earlier than [window start + delta_min (n + q - 1)] and completes at
+     least [r-] after that.  Taking the minimum over every in-window
+     position [q] covers all cases; the per-activation completions
+     refine the single worst-case jitter [J] whenever the worst response
+     is not attained by the window's first activation.  The term needs
+     the busy-window completion profile and is skipped without one;
+   - the paper's {e Theta_tau} recursion ({!Task_op.output}), which
+     dominates the jitter term.
 
-let pp_mode ppf m = Format.pp_print_string ppf (mode_name m)
+   Each term is monotone in [n], so any pointwise [max] of them is a
+   well-formed distance curve, and the [max] of sound lower bounds is
+   itself sound.  A mode is one row of this table and nothing else. *)
+
+type rate =
+  | Zero
+  | R_minus
+  | Bmin
+
+type row = {
+  mode : mode;
+  name : string;
+  floors : rate list;
+  busy_window : bool;
+  theta : bool;
+}
+
+let table =
+  [
+    { mode = Theta_tau; name = "theta_tau"; floors = [];
+      busy_window = false; theta = true };
+    { mode = Jitter; name = "jitter"; floors = [ Zero ];
+      busy_window = false; theta = false };
+    { mode = Jitter_offset; name = "jitter_offset"; floors = [ R_minus ];
+      busy_window = false; theta = false };
+    { mode = Jitter_bmin; name = "jitter_bmin"; floors = [ Bmin ];
+      busy_window = false; theta = false };
+    { mode = Busy_window; name = "busy_window"; floors = [ R_minus ];
+      busy_window = true; theta = false };
+    { mode = Optimal; name = "optimal"; floors = [ R_minus; Bmin ];
+      busy_window = true; theta = true };
+  ]
+
+let row mode = List.find (fun r -> r.mode = mode) table
+
+let all_modes = List.map (fun r -> r.mode) table
+
+let mode_name m = (row m).name
+
+let mode_of_name s =
+  List.find_map (fun r -> if String.equal r.name s then Some r.mode else None)
+    table
+
+let uses_profile m = (row m).busy_window
 
 type profile = {
   arrivals : int array;
@@ -54,88 +109,33 @@ let profile_equal a b =
   a.arrivals = b.arrivals && a.finishes = b.finishes
 
 (* ------------------------------------------------------------------ *)
-(* Output delta_min candidates.
-
-   Throughout, [J = r+ - r-] is the response-time spread (output jitter
-   amplification) and every candidate is a sound lower bound on the
-   distance of [n] consecutive output events:
-
-   - the {e jitter} term [delta_min n - J]: the first of the n outputs
-     leaves at the latest [r+] after its arrival, the last at the
-     earliest [r-] after its own, and the arrivals are at least
-     [delta_min n] apart (Richter's output jitter equation);
-   - the {e serialization} floor [(n-1) * r-]: successive completions of
-     the same element are at least a best-case response apart;
-   - the {e execution} floor [(n-1) * bmin]: each of the n-1 jobs between
-     the two boundary outputs costs at least its minimum service time
-     after its predecessor's completion, preemption only widens it;
-   - the {e busy-window} term
-     [min_q (delta_min (n + q - 1) - finish q) + r-]
-     (Schliecker-style): if the first of the n outputs is the q-th
-     activation of its busy window, it completes no later than
-     [window start + finish q], while the last of the n arrives no
-     earlier than [window start + delta_min (n + q - 1)] and completes at
-     least [r-] after that.  Taking the minimum over every possible
-     in-window position [q] covers all cases; the per-activation
-     completions refine the single worst-case jitter [J] whenever the
-     worst response is not attained by the window's first activation.
-
-   Each candidate is monotone in [n], so any pointwise [max] of them is a
-   well-formed distance curve; the [max] of sound lower bounds is itself
-   sound, which is also why the [optimal] mode (pointwise max over every
-   mode) is sound. *)
+(* Closure evaluation of the terms *)
 
 let jitter_term stream ~spread n =
   Time.sub_clamped (Stream.delta_min stream n) (Time.of_int spread)
 
-let floor_term rate n = Time.of_int ((n - 1) * rate)
-
-(* Unclamped busy-window candidate.  The subtraction must stay raw: the
-   candidate can legitimately be negative and clamping it before the
-   outer [max] would raise the minimum unsoundly. *)
-let busy_window_term stream ~r_minus ~profile n =
-  let q_max = Array.length profile.finishes in
+(* Unclamped busy-window candidate over the finish times [fin] (non-empty).
+   The subtraction must stay raw: the candidate can legitimately be
+   negative and clamping it before the outer [max] would raise the
+   minimum unsoundly. *)
+let busy_window_term stream ~r_minus ~fin n =
   let best = ref Time.Inf in
-  for q = 1 to q_max do
-    let d = Stream.delta_min stream (n + q - 1) in
+  for q = 1 to Array.length fin do
     let candidate =
-      match d with
+      match Stream.delta_min stream (n + q - 1) with
       | Time.Inf -> Time.Inf
-      | Time.Fin d -> Time.of_int (d - profile.finishes.(q - 1))
+      | Time.Fin d -> Time.of_int (d - fin.(q - 1))
     in
     best := Time.min !best candidate
   done;
   Time.add !best (Time.of_int r_minus)
 
-let delta_min_of_mode ~mode ~r_minus ~spread ~bmin ~profile stream n =
-  match mode with
-  | Theta_tau | Optimal ->
-    invalid_arg "Propagation.delta_min_of_mode: handled by derive"
-  | Jitter -> Time.max Time.zero (jitter_term stream ~spread n)
-  | Jitter_offset ->
-    Time.max (floor_term r_minus n) (jitter_term stream ~spread n)
-  | Jitter_bmin ->
-    Time.max (floor_term bmin n) (jitter_term stream ~spread n)
-  | Busy_window -> begin
-    let base =
-      Time.max (floor_term r_minus n) (jitter_term stream ~spread n)
-    in
-    match profile with
-    | None -> base
-    | Some p -> Time.max base (busy_window_term stream ~r_minus ~profile:p n)
-  end
-
-let output_name name stream =
-  match name with
-  | Some n -> n
-  | None -> Printf.sprintf "out(%s)" (Stream.name stream)
-
 (* ------------------------------------------------------------------ *)
 (* Compact construction.
 
    When the input's minimum-distance curve carries a compact periodic
-   tail (plen, pe, pt), every candidate term is eventually exactly
-   pe-block periodic:
+   tail (plen, pe, pt), every term is eventually exactly pe-block
+   periodic:
 
    - the jitter term inherits the input tail: for [n >= plen + 2],
      [term (n + pe) = term n + pt] (curve extension semantics);
@@ -144,8 +144,8 @@ let output_name name stream =
    - each busy-window candidate is the input curve shifted by [q - 1]
      events minus a constant, so it inherits the input tail, and so does
      the min of the finitely many of them;
-   - the Theta_tau curve (optimal mode) exposes its own compact tail
-     whose pe-block increment is one of the same rates.
+   - the Theta_tau curve exposes its own compact tail whose pe-block
+     increment is one of the same rates.
 
    Let [ptc] be the largest pe-block increment among the terms.  If at
    some index [n] the max is attained by a term with increment [ptc],
@@ -157,33 +157,19 @@ let output_name name stream =
    to [p + pe] are the prefix of an exact compact periodic curve.  If no
    attainment window is found below a cap (the crossover between a slow
    floor and a faster tail sits arbitrarily far out for extreme jitter),
-   the caller falls back to the closure-backed stream — never unsound,
-   only less compact.  Compactness is what downstream consumers key on:
-   [Shaper.delay_bound] takes its exact periodic-tail branch instead of
-   the wide-window slope-estimate fallback, which misclassifies
-   large-jitter inputs as unbounded. *)
+   [derive] falls back to the closure over the same terms — never
+   unsound, only less compact.  Compactness is what downstream consumers
+   key on: [Shaper.delay_bound] takes its exact periodic-tail branch
+   instead of the wide-window slope-estimate fallback, which
+   misclassifies large-jitter inputs as unbounded. *)
 
-let compact_delta_min_curve ~mode ~r_minus ~spread ~bmin ~profile ?theta
-    stream =
+let compact_delta_min_curve ~floors ~r_minus ~spread ~fin ?theta stream =
   let din = Stream.delta_min_curve stream in
   match Curve.periodic_tail din with
   | None -> None
   | Some (plen, pe, pt) -> begin
     let inf = Curve.packed_inf in
-    let floors =
-      match mode with
-      | Theta_tau -> invalid_arg "Propagation.compact_delta_min_curve"
-      | Jitter -> [ 0 ]
-      | Jitter_offset -> [ r_minus ]
-      | Jitter_bmin -> [ bmin ]
-      | Busy_window -> [ r_minus ]
-      | Optimal -> [ r_minus; bmin ]
-    in
-    let q_max =
-      match mode, profile with
-      | (Busy_window | Optimal), Some p -> Array.length p.finishes
-      | _ -> 0
-    in
+    let q_max = Array.length fin in
     let theta_tail =
       match theta with
       | None -> Some None
@@ -221,11 +207,6 @@ let compact_delta_min_curve ~mode ~r_minus ~spread ~bmin ~profile ?theta
           Curve.eval_range_into t ~n0:2 ~len:(cap - 1) ~dst:v ~pos:0;
           v
       in
-      let fin =
-        match profile with
-        | Some p when q_max > 0 -> p.finishes
-        | _ -> [||]
-      in
       let exception Bail in
       (* value and dominant-term value (max over increment-ptc terms) *)
       let term_values n =
@@ -254,13 +235,13 @@ let compact_delta_min_curve ~mode ~r_minus ~spread ~bmin ~profile ?theta
           if bw > !m then m := bw;
           if pt = ptc && bw > !dom then dom := bw
         end;
-        (match theta, theta_tail with
-         | Some _, Some (_, inc) ->
+        (match theta_tail with
+         | Some (_, inc) ->
            let v = theta_v.(n - 2) in
            if v = inf then raise Bail;
            if v > !m then m := v;
            if inc = ptc && v > !dom then dom := v
-         | _ -> ());
+         | None -> ());
         !m, !dom
       in
       match
@@ -305,63 +286,73 @@ let compact_delta_plus_curve ~spread stream =
            ~prefix:(Array.map (fun v -> v + spread) vals)
            ~period_events:pe ~period_time:pt)
 
+(* ------------------------------------------------------------------ *)
+(* One derive path for every row *)
+
 let derive ?name ~mode ~response ~bmin ?profile stream =
   if bmin < 0 then invalid_arg "Propagation.derive: negative bmin";
-  match mode with
-  | Theta_tau ->
-    (* the exact recursion, including the compact kernel path *)
+  let row = row mode in
+  if row.theta && row.floors = [] && not row.busy_window then
+    (* Theta_tau alone (it dominates the jitter term): the exact
+       recursion, including its compact kernel path *)
     Task_op.output ?name ~response stream
-  | Jitter | Jitter_offset | Jitter_bmin | Busy_window -> begin
+  else begin
     let r_minus = Interval.lo response in
     let spread = Interval.width response in
-    match compact_delta_min_curve ~mode ~r_minus ~spread ~bmin ~profile stream with
-    | Some delta_min ->
-      let delta_plus =
-        match compact_delta_plus_curve ~spread stream with
-        | Some c -> c
-        | None ->
-          Curve.make (fun n ->
-              Time.add (Stream.delta_plus stream n) (Time.of_int spread))
-      in
-      Stream.of_curves ~name:(output_name name stream) ~delta_min ~delta_plus
-    | None ->
-      let delta_min n =
-        delta_min_of_mode ~mode ~r_minus ~spread ~bmin ~profile stream n
-      in
-      let delta_plus n =
-        Time.add (Stream.delta_plus stream n) (Time.of_int spread)
-      in
-      Stream.make ~name:(output_name name stream) ~delta_min ~delta_plus
-  end
-  | Optimal -> begin
-    (* pointwise-tightest sound output: max of every mode's delta_min
-       (delta_plus is the same [+ J] shift in all of them).  Theta_tau
-       dominates the nonrecursive jitter family whenever [bmin <= r-]
-       (always true for analysed elements, where both come from the same
-       response interval), but taking the explicit max keeps dominance
-       unconditional for arbitrary caller-supplied [bmin]. *)
-    let r_minus = Interval.lo response in
-    let spread = Interval.width response in
-    let theta = Task_op.output ~response stream in
-    let closure () =
-      let modes = [ Jitter; Jitter_offset; Jitter_bmin; Busy_window ] in
-      let delta_min n =
-        List.fold_left
-          (fun acc m ->
-            Time.max acc
-              (delta_min_of_mode ~mode:m ~r_minus ~spread ~bmin ~profile
-                 stream n))
-          (Stream.delta_min theta n) modes
-      in
-      let delta_plus n = Stream.delta_plus theta n in
-      Stream.make ~name:(output_name name stream) ~delta_min ~delta_plus
+    let floors =
+      List.map
+        (function Zero -> 0 | R_minus -> r_minus | Bmin -> bmin)
+        row.floors
+    in
+    let fin =
+      match row.busy_window, profile with
+      | true, Some p -> p.finishes
+      | _ -> [||]
+    in
+    let theta =
+      if row.theta then Some (Task_op.output ~response stream) else None
+    in
+    let name =
+      match name with
+      | Some n -> n
+      | None -> Printf.sprintf "out(%s)" (Stream.name stream)
+    in
+    (* every row shares the [+ J] maximum-distance shift; Theta_tau's
+       own curve is that shift too, and keeps its representation *)
+    let delta_plus n =
+      match theta with
+      | Some t -> Stream.delta_plus t n
+      | None -> Time.add (Stream.delta_plus stream n) (Time.of_int spread)
     in
     match
-      compact_delta_min_curve ~mode ~r_minus ~spread ~bmin ~profile
-        ~theta:(Stream.delta_min_curve theta) stream
+      compact_delta_min_curve ~floors ~r_minus ~spread ~fin
+        ?theta:(Option.map Stream.delta_min_curve theta) stream
     with
     | Some delta_min ->
-      Stream.of_curves ~name:(output_name name stream) ~delta_min
-        ~delta_plus:(Stream.delta_plus_curve theta)
-    | None -> closure ()
+      let delta_plus =
+        match theta with
+        | Some t -> Stream.delta_plus_curve t
+        | None -> begin
+          match compact_delta_plus_curve ~spread stream with
+          | Some c -> c
+          | None -> Curve.make delta_plus
+        end
+      in
+      Stream.of_curves ~name ~delta_min ~delta_plus
+    | None ->
+      let delta_min n =
+        let m =
+          List.fold_left
+            (fun acc r -> Time.max acc (Time.of_int ((n - 1) * r)))
+            (jitter_term stream ~spread n) floors
+        in
+        let m =
+          if Array.length fin = 0 then m
+          else Time.max m (busy_window_term stream ~r_minus ~fin n)
+        in
+        match theta with
+        | Some t -> Time.max m (Stream.delta_min t n)
+        | None -> m
+      in
+      Stream.make ~name ~delta_min ~delta_plus
   end

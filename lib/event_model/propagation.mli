@@ -1,35 +1,38 @@
-(** Pluggable output-model propagation (pyCPA-inspired).
+(** Output-model propagation (pyCPA-inspired): one operation, a table
+    of terms.
 
     The analysis engine turns an analysed element's input stream and
-    response-time interval into an output stream.  The paper's exact
-    Theta_tau recursion ({!Task_op.output}) is one way to do that; pyCPA
-    ships a family of alternatives trading tightness against cost, plus a
-    per-task [optimal] selection.  This module gives them a common
-    signature so the engine, the exploration space and the verification
-    oracles can treat the propagation method as data.
+    response-time interval into an output stream.  Every mode does it
+    the same way: the output minimum-distance curve is the pointwise
+    max of a few sound lower bounds, and a mode is one row of a table
+    saying which of them it takes (pyCPA's layout).  With
+    [J = r+ - r-] the terms are
 
-    All modes share the output maximum-distance curve
-    [delta_plus' n = delta_plus n + (r+ - r-)]; they differ in the
-    minimum-distance curve:
+    - the jitter term [max 0 (d n - J)], taken by every row (Richter's
+      output jitter equation);
+    - floors [(n-1) * rate] for rates drawn from [0], [r-] (best-case
+      serialization) and [bmin] (minimum service);
+    - the busy-window term [min_q (d (n+q-1) - finish q) + r-]
+      (Schliecker-style), from the per-activation completion times of
+      the maximal busy window; skipped when no profile is available;
+    - the paper's Theta_tau recursion
+      [d' n = max (d n - J) (d' (n-1) + r-)] ({!Task_op.output}).
 
-    - {b theta_tau}: the paper's recursion
-      [d' n = max (d n - (r+ - r-)) (d' (n-1) + r-)] — the repo default,
-      with the compact verified-window kernel path;
-    - {b jitter}: nonrecursive jitter amplification
-      [max 0 (d n - (r+ - r-))], minimum distance dropped (pyCPA
-      ['jitter']);
-    - {b jitter_offset}: the jitter term with the best-case-response
-      serialization floor [(n-1) * r-] (pyCPA ['jitter_offset'] /
-      ['jitter_dmin']; stream curves carry no phases, so the offset shift
-      itself is invisible here);
-    - {b jitter_bmin}: the jitter term with the minimum-service floor
-      [(n-1) * bmin] (pyCPA ['jitter_bmin']);
-    - {b busy_window}: additionally refines the jitter term with
-      per-activation completion times of the maximal busy window
-      (Schliecker-style): [min_q (d (n+q-1) - finish q) + r-].  Falls
-      back to [jitter_offset] when no completion profile is available;
-    - {b optimal}: the pointwise max of every mode's minimum-distance
-      curve — tightest sound output, per task. *)
+    The rows:
+
+    {v
+    mode           floors       busy window   Theta_tau
+    theta_tau      -            no            yes   (the repo default)
+    jitter         0            no            no    (pyCPA 'jitter')
+    jitter_offset  r-           no            no    (pyCPA 'jitter_offset')
+    jitter_bmin    bmin         no            no    (pyCPA 'jitter_bmin')
+    busy_window    r-           yes           no
+    optimal        r-, bmin     yes           yes   (tightest sound output)
+    v}
+
+    Stream curves carry no phases, so pyCPA's offset shift itself is
+    invisible in [jitter_offset].  All rows share the output
+    maximum-distance curve [delta_plus' n = delta_plus n + J]. *)
 
 type mode =
   | Theta_tau
@@ -45,7 +48,10 @@ val mode_name : mode -> string
 
 val mode_of_name : string -> mode option
 
-val pp_mode : Format.formatter -> mode -> unit
+val uses_profile : mode -> bool
+(** Whether the mode's row takes the busy-window term, i.e. whether
+    {!derive} reads its [profile] argument.  For every other mode the
+    profile is ignored. *)
 
 (** Per-activation completion data of one maximal busy window: for
     [q = 1 .. Array.length finishes], [arrivals.(q-1)] is the earliest
@@ -75,16 +81,19 @@ val derive :
     element with response interval [response] processing [stream], under
     the given propagation mode.  [bmin] is the element's minimum service
     time (floor of the execution / transmission interval); [profile] is
-    the busy-window completion data consumed by the [busy_window] and
-    [optimal] modes.  [Theta_tau] delegates to {!Task_op.output}
-    (including its compact kernel path).
+    the busy-window completion data, read only when {!uses_profile}
+    holds.  A row whose only term is Theta_tau delegates to
+    {!Task_op.output} (including its compact kernel path).
 
-    When the input's minimum-distance curve carries a compact periodic
-    tail, the other modes also build compact periodic output curves,
-    certified by a verified attainment window (see the implementation
-    comment).  Downstream consumers that branch on exact periodic tails
-    — notably {!Shaper.delay_bound} — then take their exact path instead
-    of heuristic wide-window fallbacks.  When no tail is available (or
-    the certificate search hits its cap), the result degrades to an
-    equivalent closure-backed stream; values are identical either way.
+    Every other row goes one way.  When the input's minimum-distance
+    curve carries a compact periodic tail, the max over the row's terms
+    is built as a compact periodic output curve, certified by a verified
+    attainment window (see the implementation comment).  Downstream
+    consumers that branch on exact periodic tails — notably
+    {!Shaper.delay_bound} — then take their exact path instead of
+    heuristic wide-window fallbacks.  When no tail is available (or the
+    certificate search hits its cap), the result is the closure over the
+    same terms; values are identical either way.  Rows that take
+    Theta_tau keep its maximum-distance curve; the others build the
+    [+ J] shift, compact when the input's is.
     @raise Invalid_argument when [bmin < 0]. *)

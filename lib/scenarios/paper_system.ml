@@ -51,6 +51,14 @@ let spec ?(s3_period = s3_period) () =
       ]
     ~frames:[ f1; f2 ] ()
 
+let generators ?(s3_period = s3_period) () =
+  [
+    "S1", Des.Gen.periodic ~period:250 ();
+    "S2", Des.Gen.periodic ~period:450 ();
+    "S3", Des.Gen.periodic ~period:s3_period ();
+    "S4", Des.Gen.periodic ~period:400 ();
+  ]
+
 let cpu_tasks = [ "T1"; "T2"; "T3" ]
 
 let frames = [ "F1"; "F2" ]
@@ -66,3 +74,38 @@ let analyse_both ?s3_period () =
     | Error e -> Error e
     | Ok hem -> Ok (flat, hem)
   end
+
+let figure4 ?s3_period ?(max_dt = 2500) ?(step = 125) () =
+  if step < 1 then invalid_arg "Paper_system.figure4: step < 1";
+  match
+    Cpa_system.Engine.analyse ~mode:Cpa_system.Engine.Hierarchical
+      (spec ?s3_period ())
+  with
+  | Error e -> Error e
+  | Ok hem ->
+    let resolve = hem.Cpa_system.Engine.resolve in
+    let streams =
+      ("F1", resolve (Spec.From_frame "F1"))
+      :: List.map2
+           (fun task signal ->
+             task, resolve (Spec.From_signal { frame = "F1"; signal }))
+           cpu_tasks [ "sig1"; "sig2"; "sig3" ]
+    in
+    let b = Buffer.create 1024 in
+    Printf.bprintf b "%-8s" "dt";
+    List.iter (fun (name, _) -> Printf.bprintf b "%8s" name) streams;
+    Buffer.add_char b '\n';
+    let rec loop dt =
+      if dt <= max_dt then begin
+        Printf.bprintf b "%-8d" dt;
+        List.iter
+          (fun (_, s) ->
+            Printf.bprintf b "%8s"
+              (Timebase.Count.to_string (Stream.eta_plus s dt)))
+          streams;
+        Buffer.add_char b '\n';
+        loop (dt + step)
+      end
+    in
+    loop step;
+    Ok (Buffer.contents b)

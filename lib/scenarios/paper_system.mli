@@ -19,6 +19,10 @@ val spec : ?s3_period:int -> unit -> Cpa_system.Spec.t
     {!s3_period} and parameterizes the pending source for ablation
     sweeps. *)
 
+val generators : ?s3_period:int -> unit -> (string * Des.Gen.t) list
+(** Matching simulator generators for the four periodic sources;
+    [s3_period] as in {!spec}. *)
+
 val cpu_tasks : string list
 (** [\["T1"; "T2"; "T3"\]] — the elements of Table 3. *)
 
@@ -31,3 +35,14 @@ val analyse_both :
   (Cpa_system.Engine.result * Cpa_system.Engine.result, Guard.Error.t) result
 (** Analyses the system in flat mode (standard event models, the
     baseline) and hierarchical mode; returns [(flat, hem)]. *)
+
+val figure4 :
+  ?s3_period:int ->
+  ?max_dt:int ->
+  ?step:int ->
+  unit ->
+  (string, Guard.Error.t) result
+(** Figure 4 as a text table: [eta+] of frame F1's output stream and of
+    the unpacked T1-T3 activation streams (hierarchical mode), for window
+    sizes [step, 2 step, ..] up to [max_dt] (defaults 125 and 2500).
+    @raise Invalid_argument when [step < 1]. *)

@@ -3,7 +3,6 @@ module Stream = Event_model.Stream
 module Sem = Event_model.Sem
 module Curve = Event_model.Curve
 module Combine = Event_model.Combine
-module Task_op = Event_model.Task_op
 module Busy_window = Scheduling.Busy_window
 module Rt_task = Scheduling.Rt_task
 module S = Set.Make (String)
@@ -157,20 +156,12 @@ let make_ctx ?selfcheck spec mode response_of =
    iterations) when some task's effective propagation mode consumes
    them; the default Theta_tau configuration takes the exact same local
    analysis calls as before. *)
-let mode_needs_profile = function
-  | Event_model.Propagation.Busy_window | Event_model.Propagation.Optimal ->
-    true
-  | Event_model.Propagation.Theta_tau | Event_model.Propagation.Jitter
-  | Event_model.Propagation.Jitter_offset
-  | Event_model.Propagation.Jitter_bmin -> false
-
 let uses_profiles (spec : Spec.t) =
-  mode_needs_profile spec.Spec.default_propagation
+  let uses = Event_model.Propagation.uses_profile in
+  uses spec.Spec.default_propagation
   || List.exists
        (fun (k : Spec.task) ->
-         match k.Spec.propagation with
-         | Some m -> mode_needs_profile m
-         | None -> false)
+         Option.fold ~none:false ~some:uses k.Spec.propagation)
        spec.Spec.tasks
 
 (* Memoization that records, per entry, the responses it was derived
@@ -266,16 +257,12 @@ and task_output ctx name =
         | Some (stream, _) -> stream
         | None ->
         let input = resolve ctx k.Spec.activation in
-        let response = ctx.response_of name in
-        match Spec.task_propagation ctx.spec k with
-        | Event_model.Propagation.Theta_tau ->
-          Task_op.output ~name:(name ^ ".out") ~response input
-        | mode ->
-          Event_model.Propagation.derive ~name:(name ^ ".out") ~mode
-            ~response
-            ~bmin:(Interval.lo k.Spec.cet)
-            ?profile:(Hashtbl.find_opt ctx.profiles name)
-            input)))
+        Event_model.Propagation.derive ~name:(name ^ ".out")
+          ~mode:(Spec.task_propagation ctx.spec k)
+          ~response:(ctx.response_of name)
+          ~bmin:(Interval.lo k.Spec.cet)
+          ?profile:(Hashtbl.find_opt ctx.profiles name)
+          input)))
 
 and frame_pre ctx name =
   memo_deps ctx ctx.frames_pre name ~extra:S.empty (fun () ->

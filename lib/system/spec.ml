@@ -97,6 +97,20 @@ let with_propagation ?task:task_name mode t =
           t.tasks;
     }
 
+let force_propagation mode t =
+  with_propagation mode
+    { t with tasks = List.map (fun k -> { k with propagation = None }) t.tasks }
+
+let force_backend backend t =
+  {
+    t with
+    resources =
+      List.map
+        (fun r ->
+          { r with backend = (if r.scheduler = Edf then Cpa else backend) })
+        t.resources;
+  }
+
 (* ------------------------------------------------------------------ *)
 (* Canonical digest *)
 

@@ -137,6 +137,17 @@ val with_propagation :
     (unknown task names are ignored — validation catches dangling
     references elsewhere). *)
 
+val force_propagation : Event_model.Propagation.mode -> t -> t
+(** [force_propagation mode t] analyses the whole system in one mode: it
+    sets the spec-wide default and clears every per-task override (unlike
+    {!with_propagation}, under which overrides keep precedence). *)
+
+val force_backend : backend -> t -> t
+(** [force_backend b t] puts every resource on local-analysis backend
+    [b], except EDF resources, which stay on [Cpa]: the curve backend has
+    no service model for dynamic deadlines and {!validate} rejects the
+    combination. *)
+
 val canonical : t -> string
 (** A canonical textual rendering of the system: element lists (and the
     signals of each frame) are sorted by name, and the opaque source

@@ -719,21 +719,6 @@ let cache_agreement ?(jobs = 2) ~base variants =
 
 module Prop = Event_model.Propagation
 
-(* Force one propagation mode on the whole system: set the spec-wide
-   default and drop any per-task overrides, so the runs compared below
-   are pure single-mode analyses. *)
-let forced_mode mode spec =
-  let spec =
-    {
-      spec with
-      Spec.tasks =
-        List.map
-          (fun (t : Spec.task) -> { t with Spec.propagation = None })
-          spec.Spec.tasks;
-    }
-  in
-  Spec.with_propagation mode spec
-
 (* The mode-invariance claim only holds where the propagation operators
    coincide analytically: jitter-free inputs (so nothing to subtract)
    and point execution/transmission intervals (so outputs stay
@@ -764,7 +749,7 @@ let propagation_dominance ?(seed = 42) ?(horizon = 200_000) ?generators spec
       (fun m ->
         ( m,
           Engine.analyse ~mode:Engine.Hierarchical ~incremental:false
-            (forced_mode m spec) ))
+            (Spec.force_propagation m spec) ))
       Prop.all_modes
   in
   let analysed =
@@ -882,21 +867,6 @@ let propagation_dominance ?(seed = 42) ?(horizon = 200_000) ?generators spec
 (* ------------------------------------------------------------------ *)
 (* oracle 7: hybrid RTC<->CPA coupling soundness *)
 
-(* Force every resource onto one local-analysis backend.  EDF resources
-   stay on [Cpa]: the curve backend has no service model for dynamic
-   deadlines and [Spec.validate] rejects the combination. *)
-let forced_backend backend spec =
-  {
-    spec with
-    Spec.resources =
-      List.map
-        (fun (r : Spec.resource) ->
-          if r.Spec.scheduler = Spec.Edf then
-            { r with Spec.backend = Spec.Cpa }
-          else { r with Spec.backend = backend })
-        spec.Spec.resources;
-  }
-
 let roundtrip_ns = [ 2; 3; 4; 5; 8; 13; 21; 34; 64 ]
 
 (* Round trip every source stream through the conversion boundary:
@@ -971,9 +941,9 @@ let hybrid_pure_agreement spec =
   else
     match
       ( Engine.analyse ~mode:Engine.Hierarchical ~incremental:false
-          (forced_backend Spec.Rtc spec),
+          (Spec.force_backend Spec.Rtc spec),
         Engine.analyse ~mode:Engine.Hierarchical ~incremental:false
-          (forced_backend Spec.Cpa spec) )
+          (Spec.force_backend Spec.Cpa spec) )
     with
     | Ok rtc, Ok cpa ->
       let cpa_map = response_map cpa in
@@ -1143,7 +1113,7 @@ let hybrid_soundness ?(seed = 42) ?(horizon = 200_000) ?generators spec =
     match generators with
     | None -> []
     | Some generators -> begin
-      let rtc_spec = forced_backend Spec.Rtc spec in
+      let rtc_spec = Spec.force_backend Spec.Rtc spec in
       match
         Engine.analyse ~mode:Engine.Hierarchical ~incremental:false rtc_spec
       with

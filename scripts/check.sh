@@ -208,10 +208,11 @@ echo "check: verify ok (25 fuzzed systems, seed 2026)"
 
 # --- serve daemon smoke -----------------------------------------------
 # Full client/server round on a temp Unix socket: load a session, make a
-# warm edit (which must reuse analyses from the resident fixed point),
-# read outcomes, restore the edit and require the read-back to equal the
-# load's outcomes, read per-session metrics, close, then SIGTERM the
-# daemon and require a clean (exit 0) drain.  The built binary is used
+# warm edit that moves a bound (and must reuse analyses from the resident
+# fixed point), require the read-back to differ from the load's outcomes,
+# restore the edit and require the read-back to equal them again, read
+# per-session metrics, close, then SIGTERM the daemon and require a clean
+# (exit 0) drain.  The built binary is used
 # directly so the backgrounded daemon does not contend for the dune
 # build lock.
 HEM=./_build/default/bin/hem_tool.exe
@@ -236,22 +237,33 @@ if [ -z "$sid" ] || [ "$sid" = null ]; then
   echo "check: serve load returned no session id" >&2
   exit 1
 fi
-reused=$("$HEM" client edit --socket "$sock" --session "$sid" --task-priority t3=4 \
-  | jq '.body.stats["resources-reused"]')
+# Raising t3 above t1 moves cpu1's bounds: the edit reply must report
+# outcomes that differ from the load's, so the restore below can tell a
+# fresh read-back from a stale one.
+want=$(printf '%s' "$loaded" | jq -c '.body.outcomes')
+edited=$("$HEM" client edit --socket "$sock" --session "$sid" --task-priority t3=0)
+printf '%s' "$edited" | jq -e --argjson want "$want" \
+    '.status == 0 and ([.body.changed[] as $c | $want[]
+                        | select(.element == $c.element) | . != $c] | any)' \
+    > /dev/null \
+  || { echo "check: serve edit t3=0 moved no bound" >&2; exit 1; }
+reused=$(printf '%s' "$edited" | jq '.body.stats["resources-reused"]')
 if [ "$reused" -lt 1 ]; then
   echo "check: warm edit reused $reused analyses, expected > 0" >&2
   exit 1
 fi
 "$HEM" client analyse --socket "$sock" --session "$sid" \
-  | jq -e '.status == 0 and (.body.outcomes | length > 0)' > /dev/null \
-  || { echo "check: serve analyse returned no outcomes" >&2; exit 1; }
+  | jq -e --argjson want "$want" \
+      '.status == 0 and (.body.outcomes | length > 0)
+       and .body.outcomes != $want' > /dev/null \
+  || { echo "check: serve analyse after edit reads back the load" >&2; exit 1; }
 # t3's priority in examples/paper.spec is 3: restoring it must read back
 # exactly the outcomes the load computed
 "$HEM" client edit --socket "$sock" --session "$sid" --task-priority t3=3 \
   | jq -e '.status == 0' > /dev/null \
   || { echo "check: serve restoring edit failed" >&2; exit 1; }
 "$HEM" client analyse --socket "$sock" --session "$sid" \
-  | jq -e --argjson want "$(printf '%s' "$loaded" | jq -c '.body.outcomes')" \
+  | jq -e --argjson want "$want" \
       '.status == 0 and .body.outcomes == $want' > /dev/null \
   || { echo "check: serve analyse after restore differs from load" >&2; exit 1; }
 "$HEM" client metrics --socket "$sock" --session "$sid" \

@@ -33,7 +33,16 @@ let arb_stream =
         Stream.periodic_burst ~name:"s" ~period ~burst ~d_min:d)
       (triple (int_range 10 300) (int_range 0 10) (int_range 1 15))
   in
-  choose [ jittered; bursty ]
+  (* closure-backed copies over the same distance functions: no periodic
+     tail, so [derive] takes its closure fallback for every mode *)
+  let closure_backed gen =
+    map
+      (fun s ->
+        Stream.make ~name:"c" ~delta_min:(Stream.delta_min s)
+          ~delta_plus:(Stream.delta_plus s))
+      gen
+  in
+  choose [ jittered; bursty; closure_backed jittered; closure_backed bursty ]
 
 let arb_response =
   QCheck.map
@@ -223,6 +232,27 @@ let prop_optimal_is_pointwise_max =
           Time.equal (Stream.delta_min opt n) expected)
         probe_ns)
 
+let prop_profile_only_where_used =
+  (* a mode whose row takes no busy-window term ignores the profile *)
+  QCheck.Test.make ~name:"profile ignored unless uses_profile" ~count:80
+    arb_profiled_case (fun (s, r, b, p) ->
+      List.for_all
+        (fun mode ->
+          Propagation.uses_profile mode
+          ||
+          let with_p =
+            Propagation.derive ~mode ~response:r ~bmin:b ~profile:p s
+          in
+          let without = Propagation.derive ~mode ~response:r ~bmin:b s in
+          List.for_all
+            (fun n ->
+              Time.equal (Stream.delta_min with_p n)
+                (Stream.delta_min without n)
+              && Time.equal (Stream.delta_plus with_p n)
+                   (Stream.delta_plus without n))
+            probe_ns)
+        Propagation.all_modes)
+
 (* ------------------------------------------------------------------ *)
 (* Unit tests *)
 
@@ -380,5 +410,6 @@ let () =
             prop_mode_invariance_periodic;
             prop_compact_matches_reference;
             prop_optimal_is_pointwise_max;
+            prop_profile_only_where_used;
           ] );
     ]

@@ -295,6 +295,26 @@ let test_paper_figure4_series () =
         [ "sig1"; "sig2"; "sig3" ])
     [ 100; 500; 1000; 2000; 4000 ]
 
+let test_paper_figure4_table () =
+  (* the table both front ends print: header, one row per window size,
+     and the values EXPERIMENTS.md quotes *)
+  let lines =
+    String.split_on_char '\n' (ok (Scenarios.Paper_system.figure4 ()))
+  in
+  let cells l = List.filter (( <> ) "") (String.split_on_char ' ' l) in
+  Alcotest.(check (list string)) "header" [ "dt"; "F1"; "T1"; "T2"; "T3" ]
+    (cells (List.hd lines));
+  Alcotest.(check int) "rows 125..2500 step 125" 22 (List.length lines);
+  List.iter
+    (fun row ->
+      Alcotest.(check bool) (String.concat " " row) true
+        (List.exists (fun l -> cells l = row) lines))
+    [ [ "500"; "5"; "3"; "2"; "1" ]; [ "1000"; "8"; "5"; "3"; "2" ];
+      [ "2000"; "14"; "9"; "5"; "3" ]; [ "2500"; "17"; "11"; "6"; "3" ] ];
+  Alcotest.check_raises "step < 1"
+    (Invalid_argument "Paper_system.figure4: step < 1") (fun () ->
+      ignore (Scenarios.Paper_system.figure4 ~step:0 ()))
+
 let test_paper_s3_sweep () =
   (* slower pending sources only reduce the pending activation rate *)
   let r_at period =
@@ -595,6 +615,7 @@ let () =
           Alcotest.test_case "S3 sweep monotone" `Quick test_paper_s3_sweep;
           Alcotest.test_case "iterations" `Quick test_paper_iterations_reported;
           Alcotest.test_case "hierarchy accessors" `Quick test_hierarchy_accessors;
+          Alcotest.test_case "figure 4 table" `Quick test_paper_figure4_table;
         ] );
       ( "extensions",
         [
